@@ -8,10 +8,11 @@ canonical encoding in :mod:`cidnsim.encoding`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Sequence
 
 from .encoding import Reader, enc_bytes, enc_int, enc_list, enc_real, enc_str
 from .keys import KeyPair, KeyRegistry, verify
@@ -46,6 +47,25 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _memoized(method: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
+    """Compute a frozen record's bytes once and keep them on the instance.
+
+    The cache lives in the instance ``__dict__``, outside the dataclass
+    fields, so equality, hashing and ``dataclasses.replace`` ignore it.
+    """
+    slot = f"_memo_{method.__name__}"
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = method(self)
+            return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class EvidenceRecord:
     """Justification for one host's score: alert digests plus the interval counts."""
@@ -62,6 +82,7 @@ class EvidenceRecord:
             if len(d) != HASH_LEN:
                 raise ValueError("alert digest must be 32 bytes")
 
+    @_memoized
     def encode(self) -> bytes:
         return (
             enc_str(self.host)
@@ -90,6 +111,7 @@ class Transaction:
     evidence_list: tuple[EvidenceRecord, ...]
     signature: bytes
 
+    @_memoized
     def body_bytes(self) -> bytes:
         return (
             enc_str(self.ids_id)
@@ -100,11 +122,13 @@ class Transaction:
             + enc_list(self.evidence_list, EvidenceRecord.encode)
         )
 
+    @_memoized
     def signed_bytes(self) -> bytes:
         return self.tx_id + self.body_bytes()
 
+    @_memoized
     def encode(self) -> bytes:
-        return self.tx_id + self.body_bytes() + enc_bytes(self.signature)
+        return self.signed_bytes() + enc_bytes(self.signature)
 
     @staticmethod
     def decode(r: Reader) -> "Transaction":
@@ -135,8 +159,8 @@ def build_transaction(
     ev = tuple(
         evidence.get(h, EvidenceRecord(h, (), 0, 0)) for h in hosts
     )
-    tx = Transaction(
-        tx_id=b"\x00" * HASH_LEN,
+    unsigned = Transaction(
+        tx_id=ZERO_HASH,
         ids_id=key.node_id,
         peer_list=peers,
         cred_list=tuple(peer_creds[p] for p in peers),
@@ -145,27 +169,11 @@ def build_transaction(
         evidence_list=ev,
         signature=b"",
     )
-    tx_id = _sha256(tx.body_bytes())
-    tx = Transaction(
-        tx_id,
-        tx.ids_id,
-        tx.peer_list,
-        tx.cred_list,
-        tx.host_list,
-        tx.trust_list,
-        tx.evidence_list,
-        signature=b"",
-    )
-    return Transaction(
-        tx.tx_id,
-        tx.ids_id,
-        tx.peer_list,
-        tx.cred_list,
-        tx.host_list,
-        tx.trust_list,
-        tx.evidence_list,
-        signature=key.sign(tx.signed_bytes()),
-    )
+    # the body leaves out the id and the signature, so it is the signed
+    # transaction's body too
+    body = unsigned.body_bytes()
+    tx_id = _sha256(body)
+    return replace(unsigned, tx_id=tx_id, signature=key.sign(tx_id + body))
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
@@ -197,6 +205,7 @@ class BlockHeader:
     ctr: int
     target_v: float
 
+    @_memoized
     def encode(self) -> bytes:
         return self.block_id + self.encode_without_id()
 
@@ -226,6 +235,7 @@ class Block:
     transactions: tuple[Transaction, ...]  # ordered by ids_id ascending
     leader_signature: bytes
 
+    @_memoized
     def payload_bytes(self) -> bytes:
         return enc_list(self.transactions, Transaction.encode)
 
@@ -285,8 +295,10 @@ def make_block(
     return Block(header, txs, key.sign(unsigned.signed_bytes()))
 
 
+@_memoized
 def hash_block(b: Block) -> bytes:
-    """SHA-256 over the canonical encoding of header and payload."""
+    """SHA-256 over the canonical encoding of header and payload (not the
+    leader signature)."""
     return _sha256(b.header.encode() + b.payload_bytes())
 
 
@@ -344,8 +356,10 @@ class Chain:
             raise ChainError("prev_hash does not match the chain tip")
         if b.header.block_id in self._block_ids:
             raise ChainError("duplicate block_id")
-        latest_cred = {k: dict(v) for k, v in self.latest_cred.items()}
-        latest_trust = {k: dict(v) for k, v in self.latest_trust.items()}
+        # _apply_block replaces an observer's lists and never edits them, so
+        # the per-observer dicts can be shared with the parent chain
+        latest_cred = dict(self.latest_cred)
+        latest_trust = dict(self.latest_trust)
         last_led = dict(self.last_led_round)
         _apply_block(b, latest_cred, latest_trust, last_led)
         return Chain(

@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 from .chain import (
     Block,
     Chain,
-    compute_block_id,
     hash_block,
     make_block,
     verify_transaction,
@@ -41,6 +40,8 @@ __all__ = [
     "mine",
     "generate_block",
     "validate_block",
+    "block_weight",
+    "fork_score",
     "resolve",
     "chain_average_credibility",
     "leader_trust_values",
@@ -95,7 +96,7 @@ class MiningContext:
 
 
 class Reason:
-    """Validation failure reason codes (emitted to metrics)."""
+    """Validation failure reason codes (counted per node in result.json)."""
 
     OK = "ok"
     LINKAGE = "linkage"
@@ -258,9 +259,7 @@ def validate_block(
         return False, Reason.LINKAGE
     if h.gen_time <= parent.tip.header.gen_time:
         return False, Reason.GEN_TIME
-    if h.block_id != compute_block_id(
-        h.leader_id, h.gen_time, h.prev_hash, h.ctr, h.target_v, b.transactions
-    ):
+    if h.block_id != hashlib.sha256(h.encode_without_id() + b.payload_bytes()).digest():
         return False, Reason.BLOCK_ID
     leader_key = ctx.registry.get(h.leader_id)
     if leader_key is None:
@@ -289,25 +288,29 @@ def validate_block(
         return False, Reason.CTR_BOUND
     if not prefix_fraction(_mining_hash(g, h.gen_time, h.ctr), p.r_bits) < h.target_v:
         return False, Reason.MINING
-    unsigned = Block(h, b.transactions, b"")
-    if not verify(leader_key, b.leader_signature, unsigned.signed_bytes()):
+    # the signed bytes leave the signature out, so they are those of the
+    # unsigned block the leader signed
+    if not verify(leader_key, b.leader_signature, b.signed_bytes()):
         return False, Reason.LEADER_SIGNATURE
     return True, Reason.OK
 
 
+def block_weight(parent: Chain, b: Block, ctx: ValidationContext) -> float:
+    """Fork-choice weight of ``b`` on ``parent``: the leader's stake times its
+    average credibility, both from committed state."""
+    leader = b.header.leader_id
+    members = ctx.members_at(b.header.gen_time)
+    avg = chain_average_credibility(parent, leader, members, ctx.initial_trust)
+    stake = compute_stake(leader_trust_values(parent, leader, b.transactions))
+    return stake * avg
+
+
 def fork_score(base: Chain, fork: Sequence[Block], ctx: ValidationContext) -> float:
-    """Accumulated leader stake times leader average credibility over the fork."""
+    """Accumulated block weight over the fork."""
     score = 0.0
     chain = base
     for b in fork:
-        members = ctx.members_at(b.header.gen_time)
-        avg = chain_average_credibility(
-            chain, b.header.leader_id, members, ctx.initial_trust
-        )
-        stake = compute_stake(
-            leader_trust_values(chain, b.header.leader_id, b.transactions)
-        )
-        score += stake * avg
+        score += block_weight(chain, b, ctx)
         chain = chain.extended(b)
     return score
 

@@ -11,7 +11,8 @@ lists changed, and finally attempt to mine.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from . import trust
@@ -27,7 +28,9 @@ from .chain import (
 )
 from .consensus import (
     ConsensusParams,
+    Reason,
     ValidationContext,
+    block_weight,
     chain_average_credibility,
     check_eligibility,
     compute_stake,
@@ -61,7 +64,15 @@ from .trust import (
     update_unsure,
 )
 
-__all__ = ["Behavior", "RuntimeContext", "Node", "Challenge", "ChallengeResponse"]
+__all__ = [
+    "Behavior",
+    "StoredBlock",
+    "BlockStore",
+    "RuntimeContext",
+    "Node",
+    "Challenge",
+    "ChallengeResponse",
+]
 
 # keep combined scores strictly inside (0,1); adversaries may publish endpoints
 _EPS = 1e-15
@@ -106,9 +117,66 @@ class ChallengeResponse:
     answer: float | Any  # priority or UNSURE
 
 
+@dataclass(frozen=True)
+class StoredBlock:
+    """A block's validation outcome and, when valid, the state it derives.
+
+    chain: the parent chain extended by the block (None when invalid).
+    score: cumulative fork-choice weight from genesis to the block.
+    committed: ids of every transaction from genesis to the block.
+    """
+
+    ok: bool
+    reason: str
+    chain: Chain | None = None
+    score: float = 0.0
+    committed: frozenset[bytes] = frozenset()
+
+
+class BlockStore:
+    """Validation results and derived state of every distinct block, shared
+    by all replicas that agree on one ``ValidationContext``.
+
+    Validity, the derived chain, the score and the committed set are pure
+    functions of the block and its parent, so each block is validated and
+    extended once, however many replicas receive it.  Entries are keyed on
+    the full block identity: ``hash_block`` leaves the leader signature out,
+    and a copy with a forged signature must not shadow the genuine block.
+    The parent is named by ``prev_hash``; every parent with that hash derives
+    the same state, so one entry serves all of them.
+    """
+
+    def __init__(self) -> None:
+        self.genesis = StoredBlock(True, Reason.OK, Chain.genesis())
+        self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
+
+    def admit(
+        self, b: Block, parent: StoredBlock, ctx: ValidationContext
+    ) -> StoredBlock:
+        """The entry of ``b`` on ``parent``, validating and extending only on
+        first sight."""
+        key = (hash_block(b), b.leader_signature)
+        entry = self._entries.get(key)
+        if entry is None:
+            ok, reason = validate_block(b, parent.chain, ctx)
+            if ok:
+                entry = StoredBlock(
+                    ok,
+                    reason,
+                    parent.chain.extended(b),
+                    parent.score + block_weight(parent.chain, b, ctx),
+                    parent.committed | {tx.tx_id for tx in b.transactions},
+                )
+            else:
+                entry = StoredBlock(ok, reason)
+            self._entries[key] = entry
+        return entry
+
+
 @dataclass
 class RuntimeContext:
-    """Shared, read-only simulation plumbing every node agrees on."""
+    """Shared simulation plumbing every node agrees on; everything but the
+    append-only block store is read-only."""
 
     seed: int
     trust_params: TrustParams
@@ -120,11 +188,8 @@ class RuntimeContext:
     host_pmal: dict[str, float]
     challenge_prob: float
     challenge_priorities: str  # uniform | binary
-    collusion_groups: dict[str, int] = None  # node_id -> group id
-
-    def __post_init__(self) -> None:
-        if self.collusion_groups is None:
-            self.collusion_groups = {}
+    collusion_groups: dict[str, int] = field(default_factory=dict)  # node_id -> group id
+    block_store: BlockStore = field(default_factory=BlockStore)
 
     def validation_context(self) -> ValidationContext:
         return ValidationContext(
@@ -166,19 +231,19 @@ class Node:
         }
         self.evidence: dict[str, EvidenceRecord] = {}
 
-        genesis = Chain.genesis()
-        self._chains: dict[bytes, Chain] = {genesis.tip_hash: genesis}
-        self._scores: dict[bytes, float] = {genesis.tip_hash: 0.0}
-        self._committed: dict[bytes, frozenset] = {genesis.tip_hash: frozenset()}
-        self._leaves: set[bytes] = {genesis.tip_hash}
+        # the valid blocks this replica has received, by hash; their derived
+        # state lives in the shared block store
+        genesis = ctx.block_store.genesis
+        self._received: dict[bytes, StoredBlock] = {genesis.chain.tip_hash: genesis}
+        self._leaves: set[bytes] = {genesis.chain.tip_hash}
         self._orphans: list[Block] = []
-        self.replica: Chain = genesis
+        self.replica: Chain = genesis.chain
 
         self.pending_txs: dict[str, Transaction] = {}
         self.outstanding: dict[tuple[str, int], float] = {}
         self.last_published: tuple | None = None
 
-        self.invalid_blocks = 0
+        self.invalid_reasons: Counter[str] = Counter()  # reason code -> blocks dropped
         self.mining_attempts = 0
         self.blocks_mined = 0
 
@@ -189,6 +254,10 @@ class Node:
         self._response_rngs: dict[int, Any] = {}
 
     # -- helpers ----------------------------------------------------------
+
+    @property
+    def invalid_blocks(self) -> int:
+        return sum(self.invalid_reasons.values())
 
     @property
     def blacklist(self) -> set[str]:
@@ -272,45 +341,33 @@ class Node:
             remaining: list[Block] = []
             for b in queue:
                 bh = hash_block(b)
-                if bh in self._chains:
+                if bh in self._received:
                     continue  # duplicate
-                parent = self._chains.get(b.header.prev_hash)
+                parent = self._received.get(b.header.prev_hash)
                 if parent is None:
                     remaining.append(b)
                     continue
-                ok, _reason = validate_block(b, parent, vctx)
-                if not ok:
-                    self.invalid_blocks += 1
-                    progress = True
+                entry = self.ctx.block_store.admit(b, parent, vctx)
+                progress = True
+                if not entry.ok:
+                    self.invalid_reasons[entry.reason] += 1
                     continue
-                members = self.ctx.members_at(b.header.gen_time)
-                avg = chain_average_credibility(
-                    parent, b.header.leader_id, members, self.ctx.trust_params.initial_trust
-                )
-                stake = compute_stake(
-                    leader_trust_values(parent, b.header.leader_id, b.transactions)
-                )
-                self._chains[bh] = parent.extended(b)
-                self._scores[bh] = self._scores[b.header.prev_hash] + stake * avg
-                self._committed[bh] = self._committed[b.header.prev_hash] | {
-                    tx.tx_id for tx in b.transactions
-                }
+                self._received[bh] = entry
                 self._leaves.discard(b.header.prev_hash)
                 self._leaves.add(bh)
-                progress = True
             queue = remaining
         self._orphans = queue
 
         # fork choice: highest accumulated stake x credibility, ties toward
         # the smallest tip hash (incremental equivalent of consensus.resolve)
-        best = min(self._leaves, key=lambda h: (-self._scores[h], h))
+        best = min(self._leaves, key=lambda h: (-self._received[h].score, h))
         if best != self.replica.tip_hash:
-            self.replica = self._chains[best]
+            self.replica = self._received[best].chain
             return True
         return False
 
     def _drop_committed_pending(self) -> None:
-        committed = self._committed[self.replica.tip_hash]
+        committed = self._received[self.replica.tip_hash].committed
         self.pending_txs = {
             sid: tx for sid, tx in self.pending_txs.items() if tx.tx_id not in committed
         }

@@ -162,6 +162,9 @@ class Simulation:
                 "index": n.index,
                 "behavior": n.behavior.kind,
                 "blocks_mined": n.blocks_mined,
+                "mining_attempts": n.mining_attempts,
+                "invalid_blocks": n.invalid_blocks,
+                "invalid_reasons": dict(sorted(n.invalid_reasons.items())),
                 "mean_election_score": score_sums[n.node_id] / rounds_active,
             }
         result.wall_time = time.monotonic() - started

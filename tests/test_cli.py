@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: run / verify / report, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,10 @@ def test_run_writes_all_outputs(tiny_config, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 15
     assert rows[0]["round"] == "1"
+    summaries = json.loads((out / "result.json").read_text())["node_summaries"]
+    assert sum(s["mining_attempts"] for s in summaries.values()) > 0
+    for s in summaries.values():
+        assert sum(s["invalid_reasons"].values()) == s["invalid_blocks"]
 
 
 def test_run_is_byte_deterministic(tiny_config, tmp_path):
@@ -145,3 +150,30 @@ def test_baseline_scenario_reaches_full_recall_by_round_30(tmp_path):
         rows = {int(r["round"]): r for r in csv.DictReader(fh)}
     assert float(rows[30]["blacklist_recall"]) == 1.0
     assert float(rows[30]["blacklist_precision"]) == 1.0
+
+
+# SHA-256 of the exports of two bundled scenarios.  A change that alters them
+# changes simulated behaviour, and must say so where it updates them.
+GOLDEN_DIGESTS = {
+    "baseline_honest": (
+        "68da337ca388d7dd56c3bdb0bcd232003397eeedd6f6033413c19d2d3a094427",
+        "34d65b9fdb9dd526f100fc72847fe3ff3d453050b94f265826c2142d09f713ba",
+    ),
+    "collusion": (
+        "955d0a65b3b4fd699bacc75371421acef3eda86ce01e8e6f40ce44b90af02d3d",
+        "afb84b8cbb80a44236a25404ea63368d341bf1d0ac7161619fa88605ce97aba0",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
+def test_bundled_scenario_exports_match_golden_digests(scenario, tmp_path):
+    out = tmp_path / "out"
+    config = SCENARIOS / f"{scenario}.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("chain.jsonl", "metrics.csv")
+    )
+    assert digests == GOLDEN_DIGESTS[scenario]
+

@@ -1,17 +1,20 @@
 """Node behavior loop: challenges, adversarial distortion, and the full
 round loop wired through the simulation driver."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from cidnsim.chain import Chain
+from cidnsim.chain import Chain, hash_block
 from cidnsim.config import config_from_dict
-from cidnsim.consensus import ConsensusParams, resolve
+from cidnsim.consensus import ConsensusParams, Reason, resolve
 from cidnsim.keys import KeyPair, KeyRegistry
+from cidnsim.netsim import KIND_BLOCK, Message
 from cidnsim.node import Behavior, Challenge, Node, RuntimeContext
-from cidnsim.simulation import Simulation
+from cidnsim.simulation import Simulation, key_for
 from cidnsim.trust import UNSURE, TrustParams
+from mutations import MUTATION_CLASSES, mutate_block
 
 TP = TrustParams(
     forgetting=0.9,
@@ -206,7 +209,7 @@ def test_replica_tip_matches_fork_choice_oracle():
     sim.run()
     node = sim.nodes[0]
     base = Chain.genesis()
-    forks = [node._chains[leaf].blocks[1:] for leaf in node._leaves]
+    forks = [node._received[leaf].chain.blocks[1:] for leaf in node._leaves]
     winner = resolve(base, forks, node.ctx.validation_context())
     expected_tip = winner[-1] if winner else base.tip
     assert node.replica.tip.header.block_id == expected_tip.header.block_id
@@ -217,3 +220,58 @@ def test_committed_state_survives_replay():
     result = sim.run()
     assert result.chain.replay_check()
     assert len(result.chain) - 1 <= 25
+
+
+def _first_block_with_transactions(config):
+    """A valid block on genesis, taken from a run of ``config``."""
+    block = Simulation(config).run().chain.blocks[1]
+    assert block.transactions
+    return block
+
+
+def test_forged_signature_copy_does_not_shadow_the_genuine_block():
+    """A copy with a flipped leader signature has the same hash_block as the
+    genuine block; rejecting it first must not make any replica reject the
+    genuine block afterwards."""
+    config = small_config()
+    genuine = _first_block_with_transactions(config)
+    sig = bytearray(genuine.leader_signature)
+    sig[0] ^= 1
+    forged = dataclasses.replace(genuine, leader_signature=bytes(sig))
+    assert hash_block(forged) == hash_block(genuine)
+
+    sim = Simulation(config)
+    rnd = genuine.header.gen_time
+    for node in sim.nodes:
+        delivered = [
+            Message(KIND_BLOCK, genuine.header.leader_id, node.node_id, b, rnd)
+            for b in (forged, genuine)
+        ]
+        node.run_round(delivered, rnd)
+        assert node.invalid_blocks == 1
+        assert node.invalid_reasons == {Reason.LEADER_SIGNATURE: 1}
+        assert node.replica.tip == genuine
+
+
+def test_invalid_reason_counts_add_up_to_invalid_blocks():
+    config = small_config()
+    genuine = _first_block_with_transactions(config)
+    other = key_for(config.rng_seed, 1)
+    # a wrong prev_hash leaves the block an orphan, which is never validated
+    mutated = [
+        mutate_block(genuine, how, config.consensus.q_max, other_key=other)
+        for how, _ in MUTATION_CLASSES
+        if how != "prev_hash"
+    ]
+    sim = Simulation(config)
+    for b in mutated:
+        sim.network.broadcast(KIND_BLOCK, genuine.header.leader_id, b, 0)
+    result = sim.run()
+
+    expected = {reason for how, reason in MUTATION_CLASSES if how != "prev_hash"}
+    for summary in result.node_summaries.values():
+        reasons = summary["invalid_reasons"]
+        assert sum(reasons.values()) == summary["invalid_blocks"]
+        assert set(reasons) >= expected
+    total = sum(s["invalid_blocks"] for s in result.node_summaries.values())
+    assert total == result.rounds[-1]["invalid_blocks"] >= len(mutated) * len(sim.nodes)
