@@ -117,6 +117,16 @@ def _check_keys(d: Mapping[str, Any], allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown fields in {where}: {unknown}")
 
 
+def _integer(value: Any, name: str) -> int:
+    """An integer-valued JSON number; bools, strings and fractions are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _behavior_from(value: Any, where: str) -> Behavior:
     if value is None:
         return Behavior()
@@ -189,9 +199,9 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
         consensus_params = ConsensusParams(
             d_cred=float(c["d_cred"]),
             d_stake=float(c["d_stake"]),
-            r_bits=int(c["r_bits"]),
-            q_max=int(c["q_max"]),
-            t_cap=int(c["t_cap"]),
+            r_bits=_integer(c["r_bits"], "r_bits"),
+            q_max=_integer(c["q_max"], "q_max"),
+            t_cap=_integer(c["t_cap"], "t_cap"),
         )
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"consensus: {e}") from e

@@ -32,6 +32,7 @@ __all__ = [
     "Reason",
     "hash_to_unit",
     "prefix_fraction",
+    "mining_bound",
     "eligibility_hash",
     "check_eligibility",
     "binary_entropy",
@@ -69,8 +70,8 @@ class ConsensusParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.d_cred <= 1.0:
             raise ValueError(f"d_cred must be in (0,1], got {self.d_cred}")
-        if not self.d_stake > 0.0:
-            raise ValueError(f"d_stake must be > 0, got {self.d_stake}")
+        if not 0.0 < self.d_stake < math.inf:
+            raise ValueError(f"d_stake must be finite and > 0, got {self.d_stake}")
         if not 8 <= self.r_bits <= 64:
             raise ValueError(f"r_bits must be in [8,64], got {self.r_bits}")
         if not self.q_max >= 1:
@@ -167,20 +168,56 @@ def _mining_hash(g_value: bytes, gen_time: int, ctr: int) -> bytes:
     return hashlib.sha256(g_value + enc_int(gen_time) + enc_int(ctr)).digest()
 
 
+# sorts above every 32-byte digest: a digest equal to its first 32 bytes is a
+# proper prefix of it, and any other digest differs from it by a smaller byte
+_ABOVE_EVERY_DIGEST = b"\xff" * 33
+
+
+def mining_bound(target_v: float, r_bits: int) -> bytes:
+    """The mining predicate as a byte bound: a SHA-256 digest ``h`` wins
+    iff ``h < mining_bound(target_v, r_bits)``, which holds exactly when
+    ``prefix_fraction(h, r_bits) < target_v``.
+
+    The bound is the least ``r_bits`` prefix that fails, found by bisection
+    on the very float expression ``prefix_fraction`` evaluates, so the two
+    agree wherever the prefix rounds on conversion (above 2^53) and for
+    every float target: NaN, zero and negative targets admit no digest.
+    Shifted into the top of 8 big-endian bytes it compares a whole digest
+    as the digest's leading 64 bits compare with it, because a digest that
+    ties on those bytes is longer and so sorts above.
+    """
+    scale = 2.0**r_bits
+    lo, hi = 0, 1 << r_bits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / scale < target_v:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo == 1 << r_bits:
+        return _ABOVE_EVERY_DIGEST
+    return (lo << (64 - r_bits)).to_bytes(8, "big")
+
+
 def mine(
     g_value: bytes, gen_time: int, target_v: float, q_max: int, r_bits: int
 ) -> tuple[int | None, int]:
     """Search the counter space; returns (winning ctr or None, attempts made).
 
-    Never exceeds q_max hash evaluations.
+    Never exceeds q_max hash evaluations.  Each attempt hashes the same
+    preimage as ``_mining_hash`` and applies the ``mining_bound`` rule; the
+    fixed prefix is fed to one hash object, which each attempt copies, as
+    copying is cheaper than starting a new hash.
     """
-    attempts = 0
+    bound = mining_bound(target_v, r_bits)
+    fresh = hashlib.sha256(g_value + enc_int(gen_time)).copy
+    pack = enc_int
     for ctr in range(1, q_max + 1):
-        attempts += 1
-        h = _mining_hash(g_value, gen_time, ctr)
-        if prefix_fraction(h, r_bits) < target_v:
-            return ctr, attempts
-    return None, attempts
+        h = fresh()
+        h.update(pack(ctr))
+        if h.digest() < bound:
+            return ctr, ctr
+    return None, q_max
 
 
 def generate_block(
@@ -286,7 +323,7 @@ def validate_block(
         return False, Reason.TARGET_MISMATCH
     if not 1 <= h.ctr <= p.q_max:
         return False, Reason.CTR_BOUND
-    if not prefix_fraction(_mining_hash(g, h.gen_time, h.ctr), p.r_bits) < h.target_v:
+    if not _mining_hash(g, h.gen_time, h.ctr) < mining_bound(h.target_v, p.r_bits):
         return False, Reason.MINING
     # the signed bytes leave the signature out, so they are those of the
     # unsigned block the leader signed

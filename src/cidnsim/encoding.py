@@ -21,8 +21,8 @@ def enc_str(s: str) -> bytes:
     return enc_bytes(s.encode("utf-8"))
 
 
-def enc_int(v: int) -> bytes:
-    return struct.pack(">q", v)
+# 8-byte big-endian two's complement; struct.error outside the int64 range
+enc_int: Callable[[int], bytes] = struct.Struct(">q").pack
 
 
 def enc_real(x: float) -> bytes:

@@ -119,14 +119,15 @@ def host_traffic(
     Each packet is truly malicious with probability p_mal; the detector
     mislabels benign packets with probability fp and malicious ones with
     probability fn.  Returns (detected-normal count, total packets).
+
+    Two draws per packet, in this order: its class, then the detector's
+    verdict.
     """
+    draw = rng.random
     k = 0
     for _ in range(interval_len):
-        malicious = rng.random() < p_mal
-        if malicious:
-            detected_normal = rng.random() < fn
+        if draw() < p_mal:
+            k += draw() < fn
         else:
-            detected_normal = rng.random() >= fp
-        if detected_normal:
-            k += 1
+            k += draw() >= fp
     return k, interval_len

@@ -134,8 +134,9 @@ class StoredBlock:
 
 
 class BlockStore:
-    """Validation results and derived state of every distinct block, shared
-    by all replicas that agree on one ``ValidationContext``.
+    """Validation results and derived state of every distinct block, and the
+    verdict on every distinct transaction, shared by all replicas that agree
+    on one ``ValidationContext``.
 
     Validity, the derived chain, the score and the committed set are pure
     functions of the block and its parent, so each block is validated and
@@ -149,6 +150,18 @@ class BlockStore:
     def __init__(self) -> None:
         self.genesis = StoredBlock(True, Reason.OK, Chain.genesis())
         self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
+        self._tx_verdicts: dict[tuple[bytes, bytes], bool] = {}
+
+    def transaction_ok(self, tx: Transaction, registry: KeyRegistry) -> bool:
+        """``verify_transaction`` of ``tx``, computed once per distinct
+        transaction.  The key holds every field: the signed bytes carry the
+        id and the body, so a copy that keeps the id and the signature but
+        alters the body is checked afresh."""
+        key = (tx.signed_bytes(), tx.signature)
+        ok = self._tx_verdicts.get(key)
+        if ok is None:
+            ok = self._tx_verdicts[key] = verify_transaction(tx, registry)
+        return ok
 
     def admit(
         self, b: Block, parent: StoredBlock, ctx: ValidationContext
@@ -294,7 +307,7 @@ class Node:
         # (1) chain ingestion and fork choice
         tip_advanced = self._ingest_blocks(blocks)
         for tx in txs:
-            if verify_transaction(tx, self.ctx.registry):
+            if self.ctx.block_store.transaction_ok(tx, self.ctx.registry):
                 self.pending_txs[tx.ids_id] = tx
         self._drop_committed_pending()
 
@@ -331,10 +344,19 @@ class Node:
 
     # -- (1) chain --------------------------------------------------------
 
+    def _fork_key(self, h: bytes) -> tuple[float, bytes]:
+        """Fork-choice order: highest accumulated stake x credibility first,
+        ties toward the smallest tip hash (as in ``consensus.resolve``)."""
+        return (-self._received[h].score, h)
+
     def _ingest_blocks(self, blocks: Sequence[Block]) -> bool:
         vctx = self.ctx.validation_context()
         queue = list(blocks) + self._orphans
         self._orphans = []
+        # the best leaf starts as the replica's tip and is updated as each
+        # admitted block replaces its parent among the leaves; the leaves are
+        # rescanned only when the best leaf's child ranks below another leaf
+        tip = best = self.replica.tip_hash
         progress = True
         while progress:
             progress = False
@@ -353,15 +375,17 @@ class Node:
                     self.invalid_reasons[entry.reason] += 1
                     continue
                 self._received[bh] = entry
-                self._leaves.discard(b.header.prev_hash)
+                parent_hash = b.header.prev_hash
+                self._leaves.discard(parent_hash)
                 self._leaves.add(bh)
+                if self._fork_key(bh) < self._fork_key(best):
+                    best = bh
+                elif parent_hash == best:
+                    best = min(self._leaves, key=self._fork_key)
             queue = remaining
         self._orphans = queue
 
-        # fork choice: highest accumulated stake x credibility, ties toward
-        # the smallest tip hash (incremental equivalent of consensus.resolve)
-        best = min(self._leaves, key=lambda h: (-self._received[h].score, h))
-        if best != self.replica.tip_hash:
+        if best != tip:
             self.replica = self._received[best].chain
             return True
         return False

@@ -152,8 +152,9 @@ def test_baseline_scenario_reaches_full_recall_by_round_30(tmp_path):
     assert float(rows[30]["blacklist_precision"]) == 1.0
 
 
-# SHA-256 of the exports of two bundled scenarios.  A change that alters them
-# changes simulated behaviour, and must say so where it updates them.
+# SHA-256 of the exports of two bundled scenarios and of HARD_LOTTERY.  A
+# change that alters them changes simulated behaviour, and must say so where
+# it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
         "68da337ca388d7dd56c3bdb0bcd232003397eeedd6f6033413c19d2d3a094427",
@@ -163,17 +164,55 @@ GOLDEN_DIGESTS = {
         "955d0a65b3b4fd699bacc75371421acef3eda86ce01e8e6f40ce44b90af02d3d",
         "afb84b8cbb80a44236a25404ea63368d341bf1d0ac7161619fa88605ce97aba0",
     ),
+    "hard_lottery": (
+        "fde8e7f08be8c13660a52b400c83f041b3a42f96e99356992f7810e5375581d1",
+        "22a2e67ee10c6623a15ac47a42e59bb8a40ffabe7e036e50b6c1d5100d554708",
+    ),
+}
+
+# A hard lottery on a lossy, delayed network: about 25 of the 28 mine calls
+# exhaust q_max, three blocks are found and two of them compete in round 7,
+# so the export pins the exhaustion path, forks and late deliveries.
+HARD_LOTTERY = {
+    "schema_version": 1,
+    "rounds": 12,
+    "rng_seed": 3,
+    "trust": {
+        "forgetting": 0.9,
+        "severity": 1.0,
+        "cred_threshold": 0.8,
+        "initial_trust": 0.5,
+        "blacklist_threshold": 0.2,
+        "interval_len": 100,
+    },
+    "consensus": {"d_cred": 1.0, "d_stake": 3e-7, "r_bits": 16, "q_max": 4096, "t_cap": 16},
+    "network": {
+        "drop_prob": 0.02,
+        "delay_rounds": 1,
+        "challenge_prob": 0.5,
+        "challenge_priorities": "uniform",
+    },
+    "hosts": [{"p_mal": 0.9 if i % 3 == 0 else 0.05} for i in range(6)],
+    "nodes": [{"fp": 0.02, "fn": 0.02} for _ in range(4)],
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
-def test_bundled_scenario_exports_match_golden_digests(scenario, tmp_path):
-    out = tmp_path / "out"
-    config = SCENARIOS / f"{scenario}.json"
+def export_digests(config, out):
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    digests = tuple(
+    return tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in ("chain.jsonl", "metrics.csv")
     )
+
+
+@pytest.mark.parametrize("scenario", ["baseline_honest", "collusion"])
+def test_bundled_scenario_exports_match_golden_digests(scenario, tmp_path):
+    digests = export_digests(SCENARIOS / f"{scenario}.json", tmp_path / "out")
     assert digests == GOLDEN_DIGESTS[scenario]
 
+
+def test_hard_lottery_exports_match_golden_digests(tmp_path):
+    config = tmp_path / "hard_lottery.json"
+    config.write_text(json.dumps(HARD_LOTTERY))
+    digests = export_digests(config, tmp_path / "out")
+    assert digests == GOLDEN_DIGESTS["hard_lottery"]

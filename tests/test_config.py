@@ -1,10 +1,13 @@
 """Fail-closed schema validation for scenario configs."""
 
 import copy
+import json
+import math
 from pathlib import Path
 
 import pytest
 
+from cidnsim.cli import EXIT_CONFIG, main
 from cidnsim.config import ConfigError, config_from_dict, load_config
 
 BASE = {
@@ -104,3 +107,30 @@ def test_invalid_json_raises_config_error(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("d_stake", math.inf),
+        ("d_stake", math.nan),
+        ("r_bits", 16.5),
+        ("r_bits", True),
+        ("q_max", 3.7),
+        ("q_max", True),
+        ("q_max", "4096"),
+        ("t_cap", False),
+        ("t_cap", None),
+    ],
+)
+def test_bad_consensus_values_exit_1_with_a_message(field, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(variant(consensus={**BASE["consensus"], field: value})))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: consensus:") and field in err
+
+
+def test_integral_float_consensus_values_are_accepted():
+    config = config_from_dict(variant(consensus={**BASE["consensus"], "q_max": 4096.0}))
+    assert config.consensus.q_max == 4096 and type(config.consensus.q_max) is int

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from cidnsim.consensus import (
     generate_block,
     hash_to_unit,
     mine,
+    mining_bound,
     prefix_fraction,
     resolve,
     validate_block,
@@ -44,8 +46,9 @@ def key_of(label: str) -> KeyPair:
 
 @pytest.mark.parametrize(
     "field,value",
-    [("d_cred", 0.0), ("d_cred", 1.1), ("d_stake", 0.0), ("r_bits", 7),
-     ("r_bits", 65), ("q_max", 0), ("t_cap", 0)],
+    [("d_cred", 0.0), ("d_cred", 1.1), ("d_stake", 0.0), ("d_stake", math.inf),
+     ("d_stake", math.nan), ("r_bits", 7), ("r_bits", 65), ("q_max", 0),
+     ("t_cap", 0)],
 )
 def test_params_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
@@ -132,6 +135,98 @@ def test_mine_respects_attempt_bound_and_predicate():
     # unwinnable target exhausts the budget
     none, used = mine(g, 5, 0.0, 64, 16)
     assert none is None and used == 64
+
+
+def reference_mine(g_value, gen_time, target_v, q_max, r_bits):
+    """The counter search written straight from the predicate."""
+    attempts = 0
+    for ctr in range(1, q_max + 1):
+        attempts += 1
+        if prefix_fraction(_mining_hash(g_value, gen_time, ctr), r_bits) < target_v:
+            return ctr, attempts
+    return None, attempts
+
+
+@st.composite
+def targets(draw, r_bits):
+    """Float targets, with weight on the edges of the mining rule: zero,
+    negative, NaN, subnormal, next to a grid point k/2^r, and at 1 - 2^-r."""
+    scale = 2.0**r_bits
+    k = draw(st.integers(0, 1 << r_bits))
+    near = draw(st.sampled_from([k / scale, 1.0 - 1.0 / scale]))
+    return draw(
+        st.one_of(
+            st.floats(),
+            st.sampled_from([0.0, -0.0, -1.0, math.nan, 5e-324, 2.0**-1060, 1.0]),
+            st.sampled_from(
+                [near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
+            ),
+        )
+    )
+
+
+@given(data=st.data(), r_bits=st.integers(8, 64))
+def test_mining_bound_agrees_with_prefix_fraction(data, r_bits):
+    """The reference predicate is monotone in the prefix, so agreeing on
+    both sides of the bound's edge, the first prefix it rejects, means
+    agreeing everywhere; a random prefix is checked as well."""
+    target = data.draw(targets(r_bits))
+    bound = mining_bound(target, r_bits)
+    shift = 64 - r_bits
+    edge = int.from_bytes(bound[:8], "big") >> shift if len(bound) == 8 else 1 << r_bits
+    assert len(bound) in (8, 33) and (len(bound) == 8 or bound == b"\xff" * 33)
+    cases = [(edge - 1, (1 << shift) - 1), (edge, 0)]
+    cases.append(
+        (data.draw(st.integers(0, (1 << r_bits) - 1)),
+         data.draw(st.integers(0, (1 << shift) - 1)))
+    )
+    tail = data.draw(st.binary(min_size=24, max_size=24))
+    for prefix, low_bits in cases:
+        if not 0 <= prefix < 1 << r_bits:
+            continue
+        h = ((prefix << shift) | low_bits).to_bytes(8, "big") + tail
+        assert (h < bound) == (prefix_fraction(h, r_bits) < target)
+
+
+def test_mining_bound_is_exact_where_the_prefix_rounds():
+    """At r_bits = 64 the prefixes just below 2^60 convert to the float 2^60,
+    so they fail the target 2^-4 although they are smaller than 2^60."""
+    bound = mining_bound(2.0**-4, 64)
+    assert bound == (2**60 - 64).to_bytes(8, "big")
+    for prefix, wins in ((2**60 - 65, True), (2**60 - 64, False), (2**60 - 1, False)):
+        h = prefix.to_bytes(8, "big") + bytes(24)
+        assert (prefix_fraction(h, 64) < 2.0**-4) is wins
+        assert (h < bound) is wins
+
+
+@pytest.mark.parametrize("target", [math.nan, 0.0, -0.0, -0.5, -math.inf])
+def test_mine_with_an_unwinnable_target_exhausts_q_max(target):
+    g = hashlib.sha256(b"g").digest()
+    assert mine(g, 5, target, 64, 16) == (None, 64)
+    assert mining_bound(target, 16) == bytes(8)
+
+
+@pytest.mark.parametrize("target", [1.0, 2.0, math.inf])
+def test_mine_with_a_target_above_every_prefix_wins_at_once(target):
+    g = hashlib.sha256(b"g").digest()
+    assert mine(g, 5, target, 64, 16) == (1, 1)
+    assert mining_bound(target, 16) > b"\xff" * 32
+
+
+@given(
+    g=st.binary(min_size=32, max_size=32),
+    gen_time=st.integers(0, 1000),
+    target=st.one_of(
+        st.floats(-0.1, 0.2),
+        st.sampled_from([math.nan, 0.0, 1e-9, 1.0 - 2.0**-16, 1.0, math.inf]),
+    ),
+    q_max=st.integers(1, 300),
+    r_bits=st.integers(8, 64),
+)
+def test_mine_matches_the_reference_search(g, gen_time, target, q_max, r_bits):
+    assert mine(g, gen_time, target, q_max, r_bits) == reference_mine(
+        g, gen_time, target, q_max, r_bits
+    )
 
 
 def _simple_context(keys):

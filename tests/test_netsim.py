@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cidnsim.netsim import (
     KIND_ALERT,
@@ -119,3 +121,33 @@ def test_host_traffic_rate_matches_mixture_model():
         k, _ = host_traffic(p_mal, fp, fn, 500, rng)
         total_k += k
     assert total_k / (trials * 500) == pytest.approx(expected, abs=0.015)
+
+
+def reference_host_traffic(p_mal, fp, fn, interval_len, rng):
+    """The sampler written out: per packet, draw its class, then the detector."""
+    k = 0
+    for _ in range(interval_len):
+        malicious = rng.random() < p_mal
+        if malicious:
+            detected_normal = rng.random() < fn
+        else:
+            detected_normal = rng.random() >= fp
+        if detected_normal:
+            k += 1
+    return k, interval_len
+
+
+@given(
+    p_mal=st.floats(0.0, 1.0),
+    fp=st.floats(0.0, 1.0),
+    fn=st.floats(0.0, 1.0),
+    interval_len=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_host_traffic_matches_the_reference_sampler(p_mal, fp, fn, interval_len, seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = host_traffic(p_mal, fp, fn, interval_len, rng)
+    assert got == reference_host_traffic(p_mal, fp, fn, interval_len, ref_rng)
+    assert type(got[0]) is int
+    # same draws in the same order: both streams are left at the same point
+    assert rng.random() == ref_rng.random()

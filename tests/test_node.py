@@ -3,15 +3,26 @@ round loop wired through the simulation driver."""
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cidnsim.chain import Chain, hash_block
+from cidnsim import node as node_module
+from cidnsim.chain import Chain, build_transaction, hash_block, make_block
 from cidnsim.config import config_from_dict
 from cidnsim.consensus import ConsensusParams, Reason, resolve
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.netsim import KIND_BLOCK, Message
-from cidnsim.node import Behavior, Challenge, Node, RuntimeContext
+from cidnsim.node import (
+    Behavior,
+    BlockStore,
+    Challenge,
+    Node,
+    RuntimeContext,
+    StoredBlock,
+)
 from cidnsim.simulation import Simulation, key_for
 from cidnsim.trust import UNSURE, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
@@ -213,6 +224,74 @@ def test_replica_tip_matches_fork_choice_oracle():
     winner = resolve(base, forks, node.ctx.validation_context())
     expected_tip = winner[-1] if winner else base.tip
     assert node.replica.tip.header.block_id == expected_tip.header.block_id
+
+
+class ScoredStore:
+    """A block store that admits every block with a preset cumulative score."""
+
+    def __init__(self, genesis, scores):
+        self.genesis = genesis
+        self.scores = scores
+
+    def admit(self, b, parent, ctx):
+        h = hash_block(b)
+        return StoredBlock(True, Reason.OK, SimpleNamespace(tip_hash=h), self.scores[h])
+
+
+@st.composite
+def block_trees(draw):
+    """Parent index (-1 for genesis) and cumulative score of each block, in
+    creation order, and a delivery order cut into rounds."""
+    n = draw(st.integers(1, 12))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    scores = [draw(st.sampled_from([0.0, 1.0, 2.0, 3.0])) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=4)))
+    return parents, scores, order, cuts
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=block_trees())
+def test_incremental_fork_choice_tracks_the_best_leaf(tree):
+    """After every round of deliveries, in any order and with ties, the
+    replica's tip is the minimum over all leaves of (-score, hash)."""
+    parents, scores, order, cuts = tree
+    node = make_node(Behavior())
+    genesis = node.ctx.block_store.genesis
+    blocks, score_of = [], {genesis.chain.tip_hash: 0.0}
+    for i, (parent, score) in enumerate(zip(parents, scores)):
+        prev = genesis.chain.tip_hash if parent < 0 else hash_block(blocks[parent])
+        b = make_block(node.key, i + 1, prev, 1, 0.5, [])
+        blocks.append(b)
+        score_of[hash_block(b)] = score
+    node.ctx.block_store = ScoredStore(genesis, score_of)
+    for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+        node._ingest_blocks([blocks[i] for i in order[lo:hi]])
+        best = min(node._leaves, key=lambda h: (-score_of[h], h))
+        assert node.replica.tip_hash == best
+    assert not node._orphans
+
+
+def test_transaction_verdict_is_computed_once_and_keyed_on_every_field(monkeypatch):
+    key = key_for(1, 0)
+    registry = KeyRegistry()
+    registry.register(key.public_bytes)
+    tx = build_transaction(key, {}, {"10.0.0.1": 0.7})
+    calls = []
+    verify = node_module.verify_transaction
+    monkeypatch.setattr(
+        node_module, "verify_transaction", lambda t, r: calls.append(t) or verify(t, r)
+    )
+    store = BlockStore()
+    assert store.transaction_ok(tx, registry)
+    assert store.transaction_ok(tx, registry)
+    assert len(calls) == 1
+    # same id and signature over a different body: a fresh check, which fails
+    forged = dataclasses.replace(tx, trust_list=(0.1,))
+    assert (forged.tx_id, forged.signature) == (tx.tx_id, tx.signature)
+    assert not store.transaction_ok(forged, registry)
+    assert store.transaction_ok(tx, registry)
+    assert len(calls) == 2
 
 
 def test_committed_state_survives_replay():
