@@ -47,13 +47,17 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _memo_slot(name: str) -> str:
+    return f"_memo_{name}"
+
+
 def _memoized(method: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
     """Compute a frozen record's bytes once and keep them on the instance.
 
     The cache lives in the instance ``__dict__``, outside the dataclass
     fields, so equality, hashing and ``dataclasses.replace`` ignore it.
     """
-    slot = f"_memo_{method.__name__}"
+    slot = _memo_slot(method.__name__)
 
     @functools.wraps(method)
     def cached(self):
@@ -64,6 +68,15 @@ def _memoized(method: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
             return value
 
     return cached
+
+
+def _with_memo(record: Any, **computed: bytes) -> Any:
+    """Keep bytes already computed for ``record`` as its memoized results of
+    the methods they are named after, so the very objects that were hashed
+    and signed are the ones later calls return."""
+    for name, value in computed.items():
+        record.__dict__[_memo_slot(name)] = value
+    return record
 
 
 @dataclass(frozen=True)
@@ -173,7 +186,9 @@ def build_transaction(
     # transaction's body too
     body = unsigned.body_bytes()
     tx_id = _sha256(body)
-    return replace(unsigned, tx_id=tx_id, signature=key.sign(tx_id + body))
+    signed = tx_id + body
+    tx = replace(unsigned, tx_id=tx_id, signature=key.sign(signed))
+    return _with_memo(tx, body_bytes=body, signed_bytes=signed)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
@@ -268,15 +283,9 @@ def compute_block_id(
     target_v: float,
     transactions: Sequence[Transaction],
 ) -> bytes:
-    header_tail = (
-        enc_str(leader_id)
-        + enc_int(gen_time)
-        + prev_hash
-        + enc_int(ctr)
-        + enc_real(target_v)
-    )
+    header = BlockHeader(ZERO_HASH, leader_id, gen_time, prev_hash, ctr, target_v)
     payload = enc_list(transactions, Transaction.encode)
-    return _sha256(header_tail + payload)
+    return _sha256(header.encode_without_id() + payload)
 
 
 def make_block(
@@ -289,10 +298,18 @@ def make_block(
 ) -> Block:
     """Assemble and sign a block (payload sorted by signer id)."""
     txs = tuple(sorted(transactions, key=lambda t: t.ids_id))
-    block_id = compute_block_id(key.node_id, gen_time, prev_hash, ctr, target_v, txs)
-    header = BlockHeader(block_id, key.node_id, gen_time, prev_hash, ctr, target_v)
-    unsigned = Block(header, txs, b"")
-    return Block(header, txs, key.sign(unsigned.signed_bytes()))
+    unsigned = Block(
+        BlockHeader(ZERO_HASH, key.node_id, gen_time, prev_hash, ctr, target_v), txs, b""
+    )
+    # the payload is encoded once: it fixes the id, is signed, and is kept
+    # on the returned block
+    payload = unsigned.payload_bytes()
+    header = replace(
+        unsigned.header,
+        block_id=_sha256(unsigned.header.encode_without_id() + payload),
+    )
+    signature = key.sign(header.encode() + payload)
+    return _with_memo(Block(header, txs, signature), payload_bytes=payload)
 
 
 @_memoized
@@ -429,7 +446,15 @@ def _tx_to_dict(tx: Transaction) -> dict:
     }
 
 
+def _object(value: Any, what: str) -> dict:
+    """``value`` when it is a JSON object; an export is rejected otherwise."""
+    if not isinstance(value, dict):
+        raise ChainError(f"{what} is not a JSON object")
+    return value
+
+
 def _tx_from_dict(d: dict) -> Transaction:
+    d = _object(d, "transaction")
     return Transaction(
         tx_id=bytes.fromhex(d["tx_id"]),
         ids_id=d["ids_id"],
@@ -466,7 +491,7 @@ def block_to_dict(b: Block) -> dict:
 
 
 def block_from_dict(d: dict) -> Block:
-    h = d["header"]
+    h = _object(d["header"], "header")
     header = BlockHeader(
         block_id=bytes.fromhex(h["block_id"]),
         leader_id=h["leader_id"],
@@ -497,9 +522,9 @@ def import_chain(path: str) -> tuple[list[Block], KeyRegistry]:
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
+            d = _object(json.loads(line), "line")
             if d.get("type") == "registry":
-                for pub_hex in d["keys"].values():
+                for pub_hex in _object(d["keys"], "registry keys").values():
                     registry.register(bytes.fromhex(pub_hex))
             else:
                 blocks.append(block_from_dict(d))

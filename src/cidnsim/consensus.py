@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .chain import (
     Block,
     Chain,
+    Transaction,
     hash_block,
     make_block,
     verify_transaction,
@@ -244,12 +245,27 @@ def generate_block(
 
 @dataclass
 class ValidationContext:
-    """Shared inputs every validator agrees on."""
+    """Shared inputs every validator agrees on, and the verdict on every
+    distinct transaction checked under them."""
 
     params: ConsensusParams
     registry: KeyRegistry
     initial_trust: float  # newcomer credibility, fills unreported observers
     members_at: Callable[[int], Sequence[str]]  # active identities at a round
+    _tx_verdicts: dict[tuple[bytes, bytes], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def transaction_ok(self, tx: Transaction) -> bool:
+        """``verify_transaction`` of ``tx`` under the registry, computed once
+        per distinct transaction.  The key holds every field: the signed bytes
+        carry the id and the body, so a copy that keeps the id and the
+        signature but alters the body is checked afresh."""
+        key = (tx.signed_bytes(), tx.signature)
+        ok = self._tx_verdicts.get(key)
+        if ok is None:
+            ok = self._tx_verdicts[key] = verify_transaction(tx, self.registry)
+        return ok
 
 
 def chain_average_credibility(
@@ -305,7 +321,7 @@ def validate_block(
     if ids != sorted(ids):
         return False, Reason.TX_ORDER
     for tx in b.transactions:
-        if not verify_transaction(tx, ctx.registry):
+        if not ctx.transaction_ok(tx):
             return False, Reason.TX_INVALID
     members = ctx.members_at(h.gen_time)
     avg_cred = chain_average_credibility(

@@ -1,14 +1,20 @@
 """Ed25519 identities and signature helpers.
 
 A node's identifier is the SHA-256 fingerprint (hex) of its raw public key.
-Signature verification is memoized: every peer verifies the same broadcast
-objects, and the predicate is pure.
+
+Verdicts are memoized per (public key, signature, message) triple: every
+peer checks the same broadcast objects, and the predicate is pure.  A
+signature this process made is known valid when it is made (Ed25519 signing
+is deterministic and a correct signature verifies under its own key, RFC
+8032), so ``KeyPair.sign`` records its triple as verified.  Every other
+triple (forged, altered, presented under another key, or read from an
+export) is checked once by ``Ed25519PublicKey.verify``.  A fresh process,
+such as ``cidnsim verify``, therefore checks every distinct signature.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -16,7 +22,18 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-__all__ = ["KeyPair", "node_id_for", "sign", "verify", "KeyRegistry"]
+__all__ = ["KeyPair", "node_id_for", "verify", "KeyRegistry"]
+
+# Bound on remembered verdicts; the oldest is dropped first, and a dropped
+# triple is simply checked again.
+_VERDICTS_MAX = 1 << 16
+_verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+
+def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
+    if len(_verdicts) >= _VERDICTS_MAX:
+        del _verdicts[next(iter(_verdicts))]
+    _verdicts[triple] = ok
 
 
 def node_id_for(public_bytes: bytes) -> str:
@@ -37,29 +54,27 @@ class KeyPair:
             raise ValueError("seed must be 32 bytes")
         return KeyPair(Ed25519PrivateKey.from_private_bytes(seed))
 
-    @staticmethod
-    def generate() -> "KeyPair":
-        return KeyPair(Ed25519PrivateKey.generate())
-
     def sign(self, message: bytes) -> bytes:
-        return self._private.sign(message)
-
-
-def sign(key: KeyPair, message: bytes) -> bytes:
-    return key.sign(message)
-
-
-@lru_cache(maxsize=1 << 16)
-def _verify_cached(public_bytes: bytes, signature: bytes, message: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(public_bytes).verify(signature, message)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+        """Sign ``message`` and record the triple as verified.  The memo
+        keeps ``message`` itself, so a caller that hands the same bytes
+        object to ``verify`` shares it rather than holding a copy."""
+        message = bytes(message)
+        signature = self._private.sign(message)
+        _remember((self.public_bytes, signature, message), True)
+        return signature
 
 
 def verify(public_bytes: bytes, signature: bytes, message: bytes) -> bool:
-    return _verify_cached(public_bytes, bytes(signature), bytes(message))
+    triple = (public_bytes, bytes(signature), bytes(message))
+    ok = _verdicts.get(triple)
+    if ok is None:
+        try:
+            Ed25519PublicKey.from_public_bytes(public_bytes).verify(triple[1], triple[2])
+            ok = True
+        except (InvalidSignature, ValueError):
+            ok = False
+        _remember(triple, ok)
+    return ok
 
 
 class KeyRegistry:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from . import trust
@@ -24,7 +25,6 @@ from .chain import (
     build_transaction,
     hash_block,
     make_block,
-    verify_transaction,
 )
 from .consensus import (
     ConsensusParams,
@@ -134,9 +134,8 @@ class StoredBlock:
 
 
 class BlockStore:
-    """Validation results and derived state of every distinct block, and the
-    verdict on every distinct transaction, shared by all replicas that agree
-    on one ``ValidationContext``.
+    """Validation results and derived state of every distinct block, shared
+    by all replicas that agree on one ``ValidationContext``.
 
     Validity, the derived chain, the score and the committed set are pure
     functions of the block and its parent, so each block is validated and
@@ -150,18 +149,6 @@ class BlockStore:
     def __init__(self) -> None:
         self.genesis = StoredBlock(True, Reason.OK, Chain.genesis())
         self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
-        self._tx_verdicts: dict[tuple[bytes, bytes], bool] = {}
-
-    def transaction_ok(self, tx: Transaction, registry: KeyRegistry) -> bool:
-        """``verify_transaction`` of ``tx``, computed once per distinct
-        transaction.  The key holds every field: the signed bytes carry the
-        id and the body, so a copy that keeps the id and the signature but
-        alters the body is checked afresh."""
-        key = (tx.signed_bytes(), tx.signature)
-        ok = self._tx_verdicts.get(key)
-        if ok is None:
-            ok = self._tx_verdicts[key] = verify_transaction(tx, registry)
-        return ok
 
     def admit(
         self, b: Block, parent: StoredBlock, ctx: ValidationContext
@@ -189,7 +176,7 @@ class BlockStore:
 @dataclass
 class RuntimeContext:
     """Shared simulation plumbing every node agrees on; everything but the
-    append-only block store is read-only."""
+    append-only block store and transaction verdicts is read-only."""
 
     seed: int
     trust_params: TrustParams
@@ -204,7 +191,10 @@ class RuntimeContext:
     collusion_groups: dict[str, int] = field(default_factory=dict)  # node_id -> group id
     block_store: BlockStore = field(default_factory=BlockStore)
 
+    @cached_property
     def validation_context(self) -> ValidationContext:
+        """The one context of the run, so its transaction verdicts are shared
+        by every replica and every block validation."""
         return ValidationContext(
             params=self.consensus_params,
             registry=self.registry,
@@ -307,7 +297,7 @@ class Node:
         # (1) chain ingestion and fork choice
         tip_advanced = self._ingest_blocks(blocks)
         for tx in txs:
-            if self.ctx.block_store.transaction_ok(tx, self.ctx.registry):
+            if self.ctx.validation_context.transaction_ok(tx):
                 self.pending_txs[tx.ids_id] = tx
         self._drop_committed_pending()
 
@@ -350,7 +340,7 @@ class Node:
         return (-self._received[h].score, h)
 
     def _ingest_blocks(self, blocks: Sequence[Block]) -> bool:
-        vctx = self.ctx.validation_context()
+        vctx = self.ctx.validation_context
         queue = list(blocks) + self._orphans
         self._orphans = []
         # the best leaf starts as the replica's tip and is updated as each

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cidnsim import chain as chain_module
+from cidnsim import keys
 from cidnsim.chain import (
     Block,
     Chain,
@@ -107,7 +109,34 @@ def test_any_single_byte_flip_invalidates_transaction(data):
     assert not verify_transaction(mutated, reg)
 
 
+def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
+    """The memoized encodings are the very objects that were hashed and
+    signed, and the signature memo shares them instead of holding a copy."""
+    _, keys_ = registry_and_keys
+    tx = build_transaction(keys_[0], {"peerA": 0.6}, {"10.0.0.1": 0.3})
+    assert tx.signed_bytes() == tx.tx_id + tx.body_bytes()
+    assert tx.tx_id == hashlib.sha256(tx.body_bytes()).digest()
+    signed = [m for (_, sig, m) in keys._verdicts if sig == tx.signature]
+    assert len(signed) == 1 and signed[0] is tx.signed_bytes()
+
+
 # -- blocks -----------------------------------------------------------------
+
+
+def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
+    _, keys_ = registry_and_keys
+    txs = [build_transaction(k, {}, {"10.0.0.1": 0.5}) for k in keys_]
+    prev = genesis_block().header.block_id
+    calls = []
+    enc_list = chain_module.enc_list
+    monkeypatch.setattr(
+        chain_module, "enc_list", lambda *a: calls.append(a) or enc_list(*a)
+    )
+    b = make_block(keys_[0], 3, prev, 7, 0.5, txs)
+    b.payload_bytes()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert b.header.block_id == compute_block_id(keys_[0].node_id, 3, prev, 7, 0.5, b.transactions)
 
 
 def test_block_round_trip(registry_and_keys):

@@ -107,6 +107,25 @@ def test_verify_rejects_tampered_export(tiny_config, tmp_path):
     assert rc == EXIT_VERIFY
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["[1, 2]", "null", "5", '"block"', '{"header": 5, "transactions": [], "leader_signature": ""}',
+     '{"type": "registry", "keys": [1]}'],
+)
+def test_verify_rejects_a_malformed_line_with_exit_3(tiny_config, tmp_path, capsys, line):
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    chain_path = out / "chain.jsonl"
+    lines = chain_path.read_text().splitlines()
+    lines.insert(2, line)
+    chain_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["verify", "--chain", str(chain_path), "--config", str(config)])
+    assert rc == EXIT_VERIFY
+    assert "malformed export" in capsys.readouterr().out
+
+
 def test_report_summarizes_run(tiny_config, tmp_path, capsys):
     config, _ = tiny_config
     out = tmp_path / "out"
@@ -152,7 +171,7 @@ def test_baseline_scenario_reaches_full_recall_by_round_30(tmp_path):
     assert float(rows[30]["blacklist_precision"]) == 1.0
 
 
-# SHA-256 of the exports of two bundled scenarios and of HARD_LOTTERY.  A
+# SHA-256 of the exports of the four bundled scenarios and of HARD_LOTTERY.  A
 # change that alters them changes simulated behaviour, and must say so where
 # it updates them.
 GOLDEN_DIGESTS = {
@@ -163,6 +182,14 @@ GOLDEN_DIGESTS = {
     "collusion": (
         "955d0a65b3b4fd699bacc75371421acef3eda86ce01e8e6f40ce44b90af02d3d",
         "afb84b8cbb80a44236a25404ea63368d341bf1d0ac7161619fa88605ce97aba0",
+    ),
+    "sybil": (
+        "f1f27333266ee5589ad64d6093f9b0e4c3ed91b884adf1c57c3b56d460fb81d3",
+        "e20e61d0b518df27f3ab2529353472e35a4f32fbc34356bb19491effeca1bdec",
+    ),
+    "betrayal": (
+        "fa2ae85273c94e651629a8b89b58e98ee3f1beae58df0298d6c2909cc8c654fb",
+        "30922edde8d9f1aacbc8f1431c1c38c0be1b352c8fe767fdbd0f6ac0da9347bf",
     ),
     "hard_lottery": (
         "fde8e7f08be8c13660a52b400c83f041b3a42f96e99356992f7810e5375581d1",
@@ -205,7 +232,7 @@ def export_digests(config, out):
     )
 
 
-@pytest.mark.parametrize("scenario", ["baseline_honest", "collusion"])
+@pytest.mark.parametrize("scenario", ["baseline_honest", "collusion", "sybil", "betrayal"])
 def test_bundled_scenario_exports_match_golden_digests(scenario, tmp_path):
     digests = export_digests(SCENARIOS / f"{scenario}.json", tmp_path / "out")
     assert digests == GOLDEN_DIGESTS[scenario]

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cidnsim import chain as chain_module
+from cidnsim import consensus as consensus_module
 from cidnsim import node as node_module
 from cidnsim.chain import Chain, build_transaction, hash_block, make_block
 from cidnsim.config import config_from_dict
-from cidnsim.consensus import ConsensusParams, Reason, resolve
+from cidnsim.consensus import ConsensusParams, Reason, ValidationContext, resolve
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.netsim import KIND_BLOCK, Message
 from cidnsim.node import (
     Behavior,
-    BlockStore,
     Challenge,
     Node,
     RuntimeContext,
@@ -221,7 +222,7 @@ def test_replica_tip_matches_fork_choice_oracle():
     node = sim.nodes[0]
     base = Chain.genesis()
     forks = [node._received[leaf].chain.blocks[1:] for leaf in node._leaves]
-    winner = resolve(base, forks, node.ctx.validation_context())
+    winner = resolve(base, forks, node.ctx.validation_context)
     expected_tip = winner[-1] if winner else base.tip
     assert node.replica.tip.header.block_id == expected_tip.header.block_id
 
@@ -278,20 +279,42 @@ def test_transaction_verdict_is_computed_once_and_keyed_on_every_field(monkeypat
     registry.register(key.public_bytes)
     tx = build_transaction(key, {}, {"10.0.0.1": 0.7})
     calls = []
-    verify = node_module.verify_transaction
+    verify = consensus_module.verify_transaction
     monkeypatch.setattr(
-        node_module, "verify_transaction", lambda t, r: calls.append(t) or verify(t, r)
+        consensus_module,
+        "verify_transaction",
+        lambda t, r: calls.append(t) or verify(t, r),
     )
-    store = BlockStore()
-    assert store.transaction_ok(tx, registry)
-    assert store.transaction_ok(tx, registry)
+    ctx = ValidationContext(CP, registry, 0.5, lambda rnd: [key.node_id])
+    assert ctx.transaction_ok(tx)
+    assert ctx.transaction_ok(tx)
     assert len(calls) == 1
     # same id and signature over a different body: a fresh check, which fails
     forged = dataclasses.replace(tx, trust_list=(0.1,))
     assert (forged.tx_id, forged.signature) == (tx.tx_id, tx.signature)
-    assert not store.transaction_ok(forged, registry)
-    assert store.transaction_ok(tx, registry)
+    assert not ctx.transaction_ok(forged)
+    assert ctx.transaction_ok(tx)
     assert len(calls) == 2
+
+
+def test_block_validation_reuses_the_transaction_verdicts(monkeypatch):
+    """A block whose transactions a replica already accepted is validated
+    without checking any of them again, in every replica of the run."""
+    calls = []
+    verify = chain_module.verify_transaction
+    for module in (chain_module, consensus_module, node_module):
+        if getattr(module, "verify_transaction", None) is verify:
+            monkeypatch.setattr(
+                module,
+                "verify_transaction",
+                lambda t, r: calls.append(t.tx_id) or verify(t, r),
+            )
+    sim = Simulation(small_config())
+    result = sim.run()
+    assert len(result.chain) > 1
+    assert len(calls) == len(set(calls))
+    committed = {tx.tx_id for b in result.chain.blocks for tx in b.transactions}
+    assert committed <= set(calls)
 
 
 def test_committed_state_survives_replay():
