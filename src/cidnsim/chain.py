@@ -446,32 +446,59 @@ def _tx_to_dict(tx: Transaction) -> dict:
     }
 
 
+_INT64 = range(-(2**63), 2**63)  # what the canonical encoding can pack
+
+# The readers below return a field when ``json`` decoded it as the type the
+# export writes (so a bool is not an int) and raise ``ChainError`` otherwise.
+
+
+def _json(value: Any, kind: type, what: str) -> Any:
+    if type(value) is not kind:
+        raise ChainError(f"{what} has the wrong JSON type ({type(value).__name__})")
+    return value
+
+
 def _object(value: Any, what: str) -> dict:
-    """``value`` when it is a JSON object; an export is rejected otherwise."""
-    if not isinstance(value, dict):
-        raise ChainError(f"{what} is not a JSON object")
+    return _json(value, dict, what)
+
+
+def _hex(value: Any, what: str) -> bytes:
+    return bytes.fromhex(_json(value, str, what))
+
+
+def _int64(value: Any, what: str) -> int:
+    if _json(value, int, what) not in _INT64:
+        raise ChainError(f"{what} is out of the 64-bit range")
+    return value
+
+
+def _array(value: Any, kind: type, what: str) -> list:
+    """A JSON array whose entries all have the type ``kind``."""
+    if type(value) is not list or not set(map(type, value)) <= {kind}:
+        raise ChainError(f"{what} is not a JSON array of {kind.__name__}")
     return value
 
 
 def _tx_from_dict(d: dict) -> Transaction:
-    d = _object(d, "transaction")
     return Transaction(
-        tx_id=bytes.fromhex(d["tx_id"]),
-        ids_id=d["ids_id"],
-        peer_list=tuple(d["peer_list"]),
-        cred_list=tuple(float(x) for x in d["cred_list"]),
-        host_list=tuple(d["host_list"]),
-        trust_list=tuple(float(x) for x in d["trust_list"]),
+        tx_id=_hex(d["tx_id"], "tx_id"),
+        ids_id=_json(d["ids_id"], str, "ids_id"),
+        peer_list=tuple(_array(d["peer_list"], str, "peer_list")),
+        cred_list=tuple(_array(d["cred_list"], float, "cred_list")),
+        host_list=tuple(_array(d["host_list"], str, "host_list")),
+        trust_list=tuple(_array(d["trust_list"], float, "trust_list")),
         evidence_list=tuple(
             EvidenceRecord(
-                e["host"],
-                tuple(bytes.fromhex(x) for x in e["alert_digests"]),
-                e["normal_count"],
-                e["packet_count"],
+                _json(e["host"], str, "evidence host"),
+                tuple(
+                    map(bytes.fromhex, _array(e["alert_digests"], str, "alert_digests"))
+                ),
+                _int64(e["normal_count"], "normal_count"),
+                _int64(e["packet_count"], "packet_count"),
             )
-            for e in d["evidence_list"]
+            for e in _array(d["evidence_list"], dict, "evidence_list")
         ),
-        signature=bytes.fromhex(d["signature"]),
+        signature=_hex(d["signature"], "signature"),
     )
 
 
@@ -491,17 +518,21 @@ def block_to_dict(b: Block) -> dict:
 
 
 def block_from_dict(d: dict) -> Block:
+    """The block of an export line; a field of the wrong JSON type raises
+    ``ChainError``."""
     h = _object(d["header"], "header")
     header = BlockHeader(
-        block_id=bytes.fromhex(h["block_id"]),
-        leader_id=h["leader_id"],
-        gen_time=int(h["gen_time"]),
-        prev_hash=bytes.fromhex(h["prev_hash"]),
-        ctr=int(h["ctr"]),
-        target_v=float(h["target_v"]),
+        block_id=_hex(h["block_id"], "block_id"),
+        leader_id=_json(h["leader_id"], str, "leader_id"),
+        gen_time=_int64(h["gen_time"], "gen_time"),
+        prev_hash=_hex(h["prev_hash"], "prev_hash"),
+        ctr=_int64(h["ctr"], "ctr"),
+        target_v=_json(h["target_v"], float, "target_v"),
     )
-    txs = tuple(_tx_from_dict(t) for t in d["transactions"])
-    return Block(header, txs, bytes.fromhex(d["leader_signature"]))
+    txs = tuple(
+        _tx_from_dict(t) for t in _array(d["transactions"], dict, "transactions")
+    )
+    return Block(header, txs, _hex(d["leader_signature"], "leader_signature"))
 
 
 def export_chain(chain: Chain, registry: KeyRegistry, path: str) -> None:
@@ -525,7 +556,7 @@ def import_chain(path: str) -> tuple[list[Block], KeyRegistry]:
             d = _object(json.loads(line), "line")
             if d.get("type") == "registry":
                 for pub_hex in _object(d["keys"], "registry keys").values():
-                    registry.register(bytes.fromhex(pub_hex))
+                    registry.register(_hex(pub_hex, "registry key"))
             else:
                 blocks.append(block_from_dict(d))
     return blocks, registry

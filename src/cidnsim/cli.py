@@ -15,7 +15,7 @@ import sys
 from .chain import Chain, genesis_block, hash_block, import_chain
 from .config import ConfigError, SimConfig, load_config
 from .consensus import ValidationContext, validate_block
-from .simulation import Simulation, key_for
+from .simulation import Simulation, membership
 from . import chain as chain_mod
 
 EXIT_OK = 0
@@ -117,22 +117,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def verify_chain(chain_path: str, config: SimConfig) -> tuple[bool, dict]:
-    """Offline replay of full validation over an exported chain.
+    """Offline replay of full validation over an exported chain, against the
+    membership the config defines: its keys, and the round each joins.
 
     Returns (ok, report); on failure the report carries the first failing
-    block index and reason code.
+    block index and reason code, or the error that stopped the replay.
     """
-    blocks, registry = import_chain(chain_path)
+    blocks, exported = import_chain(chain_path)
     if not blocks:
         return False, {"error": "empty export"}
+    _, registry, members_at = membership(config)
+    if exported.as_dict() != registry.as_dict():
+        return False, {"error": "registry differs from the configured membership"}
     if blocks[0].encode() != genesis_block().encode():
         return False, {"block": 0, "reason": "bad-genesis"}
-
-    ids = [key_for(config.rng_seed, i).node_id for i in range(len(config.nodes))]
-    spawn = [spec.behavior.spawn_round for spec in config.nodes]
-
-    def members_at(rnd: int) -> list[str]:
-        return [ids[i] for i in range(len(ids)) if spawn[i] <= rnd]
 
     ctx = ValidationContext(
         params=config.consensus,

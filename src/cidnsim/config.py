@@ -127,6 +127,12 @@ def _integer(value: Any, name: str) -> int:
     return int(value)
 
 
+def _sybil_strategy(value: Any, where: str) -> str:
+    if value not in ("invert", "empty"):
+        raise ConfigError(f"{where}.strategy must be invert or empty, got {value!r}")
+    return value
+
+
 def _behavior_from(value: Any, where: str) -> Behavior:
     if value is None:
         return Behavior()
@@ -135,25 +141,31 @@ def _behavior_from(value: Any, where: str) -> Behavior:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}.behavior must be a string or object")
     kind = value.get("kind", "honest")
+    # only a sybil has a strategy: betrayal and collusion have one fixed
+    # behaviour each, so a strategy there would be ignored
     allowed = {
         "honest": {"kind"},
         "sybil": {"kind", "spawn_round", "strategy"},
-        "betrayal": {"kind", "turn_round", "strategy"},
-        "collusion": {"kind", "group_id", "strategy"},
+        "betrayal": {"kind", "turn_round"},
+        "collusion": {"kind", "group_id"},
     }
-    if kind not in allowed:
-        raise ConfigError(f"{where}.behavior.kind unknown: {kind}")
-    _check_keys(value, allowed[kind], f"{where}.behavior")
+    if not isinstance(kind, str) or kind not in allowed:
+        raise ConfigError(f"{where}.behavior.kind unknown: {kind!r}")
+    where = f"{where}.behavior"
+    _check_keys(value, allowed[kind], where)
     if kind == "betrayal" and "turn_round" not in value:
-        raise ConfigError(f"{where}.behavior: betrayal requires turn_round")
+        raise ConfigError(f"{where}: betrayal requires turn_round")
     if kind == "collusion" and "group_id" not in value:
-        raise ConfigError(f"{where}.behavior: collusion requires group_id")
+        raise ConfigError(f"{where}: collusion requires group_id")
+    integer_fields = {
+        name: _integer(value[name], f"{where}.{name}")
+        for name in ("spawn_round", "turn_round", "group_id")
+        if name in value
+    }
     return Behavior(
         kind=kind,
-        spawn_round=int(value.get("spawn_round", 0)),
-        turn_round=value.get("turn_round"),
-        strategy=value.get("strategy", "invert"),
-        group_id=value.get("group_id"),
+        strategy=_sybil_strategy(value.get("strategy", "invert"), where),
+        **integer_fields,
     )
 
 
@@ -243,16 +255,15 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
     if "sybil" in d:
         s = d["sybil"]
         _check_keys(s, {"n_fakes", "spawn_round", "strategy"}, "sybil")
-        for _ in range(int(s["n_fakes"])):
-            nodes.append(
-                NodeSpec(
-                    behavior=Behavior(
-                        kind="sybil",
-                        spawn_round=int(s.get("spawn_round", 0)),
-                        strategy=str(s.get("strategy", "invert")),
-                    )
-                )
-            )
+        n_fakes = _integer(s.get("n_fakes"), "sybil.n_fakes")
+        if n_fakes < 0:
+            raise ConfigError(f"sybil.n_fakes must be >= 0, got {n_fakes}")
+        fake = Behavior(
+            kind="sybil",
+            spawn_round=_integer(s.get("spawn_round", 0), "sybil.spawn_round"),
+            strategy=_sybil_strategy(s.get("strategy", "invert"), "sybil"),
+        )
+        nodes.extend(NodeSpec(behavior=fake) for _ in range(n_fakes))
 
     try:
         return SimConfig(

@@ -3,8 +3,8 @@
 A node may mine only if a hash of its identity, the parent hash, and the
 payload falls under a credibility-scaled target (the eligibility lottery);
 it then brute-forces a bounded counter against a stake-and-time target.
-Validators re-derive every quantity from committed chain state, so block
-validity is observer-independent.
+The proposer and every validator derive this draw in one place from
+committed chain state, so block validity is observer-independent.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .chain import (
     make_block,
     verify_transaction,
 )
-from .encoding import enc_int, enc_str
+from .encoding import enc_int, enc_list, enc_str
 from .keys import KeyPair, KeyRegistry, verify
 from .trust import average_credibility
 
 __all__ = [
     "ConsensusParams",
-    "MiningContext",
     "ValidationContext",
     "Reason",
     "hash_to_unit",
@@ -40,7 +39,7 @@ __all__ = [
     "compute_stake",
     "compute_target",
     "mine",
-    "generate_block",
+    "propose",
     "validate_block",
     "block_weight",
     "fork_score",
@@ -79,22 +78,6 @@ class ConsensusParams:
             raise ValueError(f"q_max must be positive, got {self.q_max}")
         if not self.t_cap >= 1:
             raise ValueError(f"t_cap must be positive, got {self.t_cap}")
-
-
-@dataclass(frozen=True)
-class MiningContext:
-    """Everything a node needs for one round of counter search."""
-
-    g_value: bytes
-    stake: float
-    time_since: int
-    target_v: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.target_v < 1.0:
-            raise ValueError("target_v must be in [0,1)")
-        if self.time_since < 1:
-            raise ValueError("time_since must be >= 1")
 
 
 class Reason:
@@ -221,26 +204,8 @@ def mine(
     return None, q_max
 
 
-def generate_block(
-    key: KeyPair,
-    ctx: MiningContext,
-    gen_time: int,
-    prev_hash: bytes,
-    params: ConsensusParams,
-    transactions: Sequence,
-) -> Block | None:
-    """Run the bounded counter search; on success return the signed block.
-
-    Exhaustion is a normal outcome (the node stays silent this round).
-    """
-    ctr, _ = mine(ctx.g_value, gen_time, ctx.target_v, params.q_max, params.r_bits)
-    if ctr is None:
-        return None
-    return make_block(key, gen_time, prev_hash, ctr, ctx.target_v, transactions)
-
-
 # ---------------------------------------------------------------------------
-# Validation against committed chain state.
+# The draw, the proposal and its validation against committed chain state.
 
 
 @dataclass
@@ -298,6 +263,51 @@ def time_since_last_block(parent: Chain, leader_id: str, gen_time: int) -> int:
     return max(1, gen_time - last)
 
 
+def _draw(
+    parent: Chain, prev_hash: bytes, leader_id: str, gen_time: int,
+    payload: bytes, transactions: Sequence[Transaction], ctx: ValidationContext,
+) -> tuple[bytes, float] | None:
+    """The proof-of-stake draw of ``leader_id`` on ``parent``, whose tip hash
+    is ``prev_hash``: (eligibility hash, mining target), or None when the
+    leader fails the credibility lottery.  The proposer and every validator
+    derive it here, from committed state only."""
+    p = ctx.params
+    members = ctx.members_at(gen_time)
+    avg_cred = chain_average_credibility(parent, leader_id, members, ctx.initial_trust)
+    eligible, g = check_eligibility(leader_id, p.d_cred, avg_cred, prev_hash, payload)
+    if not eligible:
+        return None
+    stake = compute_stake(leader_trust_values(parent, leader_id, transactions))
+    time_since = time_since_last_block(parent, leader_id, gen_time)
+    return g, compute_target(p.d_stake, stake, time_since, p.t_cap, p.r_bits)
+
+
+def propose(
+    parent: Chain, key: KeyPair, gen_time: int, txs: Iterable[Transaction],
+    ctx: ValidationContext,
+) -> tuple[Block | None, int]:
+    """The block ``key`` proposes on ``parent`` at ``gen_time`` with ``txs``,
+    and the hash attempts spent on it.
+
+    The block is None when the leader is not eligible, its target is zero
+    (no counter can win, so none is tried) or the counter search exhausts
+    ``q_max``; staying silent is a normal outcome.
+    """
+    txs = sorted(txs, key=lambda t: t.ids_id)
+    prev_hash = parent.tip_hash
+    payload = enc_list(txs, Transaction.encode)
+    draw = _draw(parent, prev_hash, key.node_id, gen_time, payload, txs, ctx)
+    if draw is None:
+        return None, 0
+    g, target = draw
+    if target <= 0.0:
+        return None, 0
+    ctr, attempts = mine(g, gen_time, target, ctx.params.q_max, ctx.params.r_bits)
+    if ctr is None:
+        return None, attempts
+    return make_block(key, gen_time, prev_hash, ctr, target, txs), attempts
+
+
 def validate_block(
     b: Block, parent: Chain, ctx: ValidationContext
 ) -> tuple[bool, str]:
@@ -315,7 +325,7 @@ def validate_block(
     if h.block_id != hashlib.sha256(h.encode_without_id() + b.payload_bytes()).digest():
         return False, Reason.BLOCK_ID
     leader_key = ctx.registry.get(h.leader_id)
-    if leader_key is None:
+    if leader_key is None or h.leader_id not in ctx.members_at(h.gen_time):
         return False, Reason.UNKNOWN_LEADER
     ids = [tx.ids_id for tx in b.transactions]
     if ids != sorted(ids):
@@ -323,18 +333,13 @@ def validate_block(
     for tx in b.transactions:
         if not ctx.transaction_ok(tx):
             return False, Reason.TX_INVALID
-    members = ctx.members_at(h.gen_time)
-    avg_cred = chain_average_credibility(
-        parent, h.leader_id, members, ctx.initial_trust
+    draw = _draw(
+        parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),
+        b.transactions, ctx,
     )
-    eligible, g = check_eligibility(
-        h.leader_id, p.d_cred, avg_cred, h.prev_hash, b.payload_bytes()
-    )
-    if not eligible:
+    if draw is None:
         return False, Reason.ELIGIBILITY
-    stake = compute_stake(leader_trust_values(parent, h.leader_id, b.transactions))
-    time_since = time_since_last_block(parent, h.leader_id, h.gen_time)
-    target = compute_target(p.d_stake, stake, time_since, p.t_cap, p.r_bits)
+    g, target = draw
     if target != h.target_v:
         return False, Reason.TARGET_MISMATCH
     if not 1 <= h.ctr <= p.q_max:

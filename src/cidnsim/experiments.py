@@ -14,22 +14,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .chain import Chain, Transaction, build_transaction, make_block
+from .chain import Chain, build_transaction
 from .consensus import (
     ConsensusParams,
     ValidationContext,
-    chain_average_credibility,
+    _mining_hash,
     check_eligibility,
-    compute_stake,
     compute_target,
     fork_score,
-    leader_trust_values,
     mine,
+    propose,
     resolve,
-    time_since_last_block,
     validate_block,
 )
-from .encoding import enc_int, enc_list
+from .encoding import enc_int
 from .keys import KeyPair, KeyRegistry
 from .netsim import derived_rng
 
@@ -97,10 +95,7 @@ def leader_election_trial(
         if winners:
             # adopt the proposal with the smallest mining hash; good enough
             # as a deterministic stand-in for full fork choice here
-            leader = min(
-                winners,
-                key=lambda w: hashlib.sha256(w[1] + enc_int(rnd) + enc_int(w[2])).digest(),
-            )[0]
+            leader = min(winners, key=lambda w: _mining_hash(w[1], rnd, w[2]))[0]
             last_led[leader] = rnd
             prev_hash = hashlib.sha256(prev_hash + enc_int(leader) + enc_int(rnd)).digest()
 
@@ -123,32 +118,6 @@ class ForkContest:
         if self.coalition_score == 0.0:
             return float("inf")
         return self.honest_score / self.coalition_score
-
-
-def _mine_on(
-    chain: Chain,
-    key: KeyPair,
-    gen_time: int,
-    txs: list[Transaction],
-    ctx: ValidationContext,
-):
-    members = ctx.members_at(gen_time)
-    avg = chain_average_credibility(chain, key.node_id, members, ctx.initial_trust)
-    payload = enc_list(sorted(txs, key=lambda t: t.ids_id), Transaction.encode)
-    eligible, g = check_eligibility(
-        key.node_id, ctx.params.d_cred, avg, chain.tip_hash, payload
-    )
-    if not eligible:
-        return None
-    stake = compute_stake(leader_trust_values(chain, key.node_id, txs))
-    t = time_since_last_block(chain, key.node_id, gen_time)
-    target = compute_target(
-        ctx.params.d_stake, stake, t, ctx.params.t_cap, ctx.params.r_bits
-    )
-    ctr, _ = mine(g, gen_time, target, ctx.params.q_max, ctx.params.r_bits)
-    if ctr is None:
-        return None
-    return make_block(key, gen_time, chain.tip_hash, ctr, target, txs)
 
 
 def fork_contest(
@@ -210,7 +179,7 @@ def fork_contest(
     chain = Chain.genesis()
     boot = None
     for k in keys:
-        boot = _mine_on(chain, k, 1, txs, ctx)
+        boot, _ = propose(chain, k, 1, txs, ctx)
         if boot is not None:
             break
     if boot is None:
@@ -226,7 +195,7 @@ def fork_contest(
             gen_time = 2 + step
             block = None
             for k in leader_pool:
-                block = _mine_on(tip, k, gen_time, [], ctx)
+                block, _ = propose(tip, k, gen_time, [], ctx)
                 if block is not None:
                     break
             if block is None:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "KIND_TRANSACTION",
     "KIND_BLOCK",
     "KIND_CHALLENGE",
     "KIND_RESPONSE",
-    "KIND_ALERT",
     "Message",
     "Network",
     "derived_rng",
@@ -29,14 +28,12 @@ KIND_TRANSACTION = "transaction"
 KIND_BLOCK = "block-proposal"
 KIND_CHALLENGE = "challenge"
 KIND_RESPONSE = "challenge-response"
-KIND_ALERT = "alert"
 
 _KIND_ORDER = {
     KIND_BLOCK: 0,
     KIND_TRANSACTION: 1,
     KIND_CHALLENGE: 2,
     KIND_RESPONSE: 3,
-    KIND_ALERT: 4,
 }
 
 

@@ -24,23 +24,16 @@ from .chain import (
     Transaction,
     build_transaction,
     hash_block,
-    make_block,
 )
 from .consensus import (
     ConsensusParams,
     Reason,
     ValidationContext,
     block_weight,
-    chain_average_credibility,
-    check_eligibility,
-    compute_stake,
-    compute_target,
-    leader_trust_values,
-    mine,
-    time_since_last_block,
+    propose,
     validate_block,
 )
-from .encoding import enc_int, enc_list, enc_str
+from .encoding import enc_int, enc_str
 from .keys import KeyPair, KeyRegistry
 from .netsim import (
     KIND_BLOCK,
@@ -530,25 +523,9 @@ class Node:
     # -- (7) mining -------------------------------------------------------
 
     def _attempt_mining(self, rnd: int) -> Block | None:
-        cp = self.ctx.consensus_params
-        txs = sorted(self.pending_txs.values(), key=lambda t: t.ids_id)
-        payload = enc_list(txs, Transaction.encode)
-        members = list(self.ctx.members_at(rnd))
-        avg = chain_average_credibility(
-            self.replica, self.node_id, members, self.ctx.trust_params.initial_trust
+        block, attempts = propose(
+            self.replica, self.key, rnd, self.pending_txs.values(),
+            self.ctx.validation_context,
         )
-        eligible, g = check_eligibility(
-            self.node_id, cp.d_cred, avg, self.replica.tip_hash, payload
-        )
-        if not eligible:
-            return None
-        stake = compute_stake(leader_trust_values(self.replica, self.node_id, txs))
-        time_since = time_since_last_block(self.replica, self.node_id, rnd)
-        target = compute_target(cp.d_stake, stake, time_since, cp.t_cap, cp.r_bits)
-        if target <= 0.0:
-            return None
-        ctr, attempts = mine(g, rnd, target, cp.q_max, cp.r_bits)
         self.mining_attempts += attempts
-        if ctr is None:
-            return None
-        return make_block(self.key, rnd, self.replica.tip_hash, ctr, target, txs)
+        return block

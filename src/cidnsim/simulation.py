@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from .chain import Chain
 from .config import SimConfig
@@ -20,7 +20,7 @@ from .keys import KeyPair, KeyRegistry
 from .netsim import KIND_BLOCK, Network
 from .node import Node, RuntimeContext
 
-__all__ = ["ScenarioResult", "Simulation", "run_scenario", "host_id_for"]
+__all__ = ["ScenarioResult", "Simulation", "host_id_for", "membership"]
 
 
 def host_id_for(index: int) -> str:
@@ -31,6 +31,24 @@ def host_id_for(index: int) -> str:
 def key_for(rng_seed: int, index: int) -> KeyPair:
     material = hashlib.sha256(f"node-key:{rng_seed}:{index}".encode()).digest()
     return KeyPair.from_seed(material)
+
+
+def membership(
+    config: SimConfig,
+) -> tuple[list[KeyPair], KeyRegistry, Callable[[int], list[str]]]:
+    """The membership a config defines: one key per node, their registry,
+    and the identities active at a round (each joins at its spawn round)."""
+    keys = [key_for(config.rng_seed, i) for i in range(len(config.nodes))]
+    registry = KeyRegistry()
+    for k in keys:
+        registry.register(k.public_bytes)
+    ids = [k.node_id for k in keys]
+    spawn = [spec.behavior.spawn_round for spec in config.nodes]
+
+    def members_at(rnd: int) -> list[str]:
+        return [ids[i] for i in range(len(ids)) if spawn[i] <= rnd]
+
+    return keys, registry, members_at
 
 
 @dataclass
@@ -49,21 +67,13 @@ class ScenarioResult:
 class Simulation:
     def __init__(self, config: SimConfig):
         self.config = config
-        self.keys = [key_for(config.rng_seed, i) for i in range(len(config.nodes))]
-        self.registry = KeyRegistry()
-        for k in self.keys:
-            self.registry.register(k.public_bytes)
-
+        self.keys, self.registry, members_at = membership(config)
         self.host_ids = [host_id_for(i) for i in range(len(config.hosts))]
         host_pmal = {
             self.host_ids[i]: config.hosts[i].p_mal for i in range(len(config.hosts))
         }
         spawn = [spec.behavior.spawn_round for spec in config.nodes]
         ids = [k.node_id for k in self.keys]
-
-        def members_at(rnd: int) -> list[str]:
-            return [ids[i] for i in range(len(ids)) if spawn[i] <= rnd]
-
         collusion_groups = {
             ids[i]: spec.behavior.group_id
             for i, spec in enumerate(config.nodes)
@@ -241,8 +251,3 @@ class Simulation:
                 if self._spawn[i] <= rnd
             },
         }
-
-
-def run_scenario(config: SimConfig, verbose: bool = False,
-                 event_sink: Callable[[dict], None] | None = None) -> ScenarioResult:
-    return Simulation(config).run(verbose=verbose, event_sink=event_sink)

@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from cidnsim.chain import (
+    Chain,
+    build_transaction,
+    export_chain,
+    genesis_block,
+    hash_block,
+    import_chain,
+)
 from cidnsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from cidnsim.config import load_config
+from cidnsim.consensus import Reason, ValidationContext, propose, validate_block
+from cidnsim.keys import KeyPair
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -107,10 +118,40 @@ def test_verify_rejects_tampered_export(tiny_config, tmp_path):
     assert rc == EXIT_VERIFY
 
 
+def block_line(header=(), tx=(), **fields):
+    """An export line of a block on genesis, well formed apart from the
+    fields given."""
+    evidence = {"host": "h", "alert_digests": [], "normal_count": 1, "packet_count": 1}
+    transaction = {
+        "tx_id": "00" * 32, "ids_id": "n", "peer_list": [], "cred_list": [],
+        "host_list": ["h"], "trust_list": [0.5], "evidence_list": [evidence],
+        "signature": "", **dict(tx),
+    }
+    record = {
+        "header": {
+            "block_id": "00" * 32, "leader_id": "n", "gen_time": 1,
+            "prev_hash": hash_block(genesis_block()).hex(), "ctr": 1, "target_v": 0.5,
+            **dict(header),
+        },
+        "transactions": [transaction],
+        "leader_signature": "",
+        **fields,
+    }
+    return json.dumps(record)
+
+
 @pytest.mark.parametrize(
     "line",
     ["[1, 2]", "null", "5", '"block"', '{"header": 5, "transactions": [], "leader_signature": ""}',
-     '{"type": "registry", "keys": [1]}'],
+     '{"type": "registry", "keys": [1]}',
+     pytest.param(block_line(header={"block_id": 5}), id="block_id-number"),
+     pytest.param(block_line(transactions=5), id="transactions-number"),
+     pytest.param(block_line(tx={"evidence_list": [5]}), id="evidence-entry-number"),
+     pytest.param(block_line(header={"leader_id": 7}), id="leader_id-number"),
+     pytest.param(block_line(tx={"cred_list": [[1]]}), id="cred_list-entry-array"),
+     pytest.param(block_line(header={"gen_time": 2**64}), id="gen_time-beyond-64-bits"),
+     pytest.param(block_line(header={"ctr": True}), id="ctr-bool"),
+     pytest.param('{"type": "registry", "keys": {"n": 5}}', id="registry-key-number")],
 )
 def test_verify_rejects_a_malformed_line_with_exit_3(tiny_config, tmp_path, capsys, line):
     config, _ = tiny_config
@@ -124,6 +165,46 @@ def test_verify_rejects_a_malformed_line_with_exit_3(tiny_config, tmp_path, caps
     rc = main(["verify", "--chain", str(chain_path), "--config", str(config)])
     assert rc == EXIT_VERIFY
     assert "malformed export" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
+    tiny_config, tmp_path, capsys
+):
+    """An outsider mines a block that is valid in every other respect on an
+    honest export and adds its key to the registry line: the configured
+    membership, not the export, decides who may lead."""
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    chain_path = out / "chain.jsonl"
+    blocks, registry = import_chain(str(chain_path))
+    chain = Chain.genesis()
+    for b in blocks[1:]:
+        chain = chain.extended(b)
+
+    outsider = KeyPair.from_seed(hashlib.sha256(b"outsider").digest())
+    registry.register(outsider.public_bytes)
+    cfg = load_config(str(config))
+    widened = ValidationContext(
+        params=cfg.consensus,
+        registry=registry,
+        initial_trust=cfg.trust.initial_trust,
+        members_at=lambda rnd: registry.ids(),
+    )
+    gen_time = chain.tip.header.gen_time + 1
+    for salt in range(200):
+        tx = build_transaction(outsider, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        forged, _ = propose(chain, outsider, gen_time, [tx], widened)
+        if forged is not None:
+            break
+    else:
+        raise AssertionError("setup: the outsider never won the lottery")
+    assert validate_block(forged, chain, widened) == (True, Reason.OK)
+
+    export_chain(chain.extended(forged), registry, str(chain_path))
+    capsys.readouterr()
+    assert main(["verify", "--chain", str(chain_path), "--config", str(config)]) == EXIT_VERIFY
+    assert "registry differs from the configured membership" in capsys.readouterr().out
 
 
 def test_report_summarizes_run(tiny_config, tmp_path, capsys):

@@ -134,3 +134,36 @@ def test_bad_consensus_values_exit_1_with_a_message(field, value, tmp_path, caps
 def test_integral_float_consensus_values_are_accepted():
     config = config_from_dict(variant(consensus={**BASE["consensus"], "q_max": 4096.0}))
     assert config.consensus.q_max == 4096 and type(config.consensus.q_max) is int
+
+
+BETRAYER = {"kind": "betrayal", "turn_round": 5}
+COLLUDER = {"kind": "collusion", "group_id": 0}
+
+
+def with_behavior(behavior):
+    return variant(nodes=[{"fp": 0.02}, {"fp": 0.02, "behavior": behavior}])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(with_behavior({**BETRAYER, "strategy": "nonsense"}), id="betrayal-strategy"),
+        pytest.param(with_behavior({**COLLUDER, "strategy": "invert"}), id="collusion-strategy"),
+        pytest.param(with_behavior({"kind": "sybil", "strategy": "bogus"}), id="sybil-strategy"),
+        pytest.param(variant(sybil={"n_fakes": 2, "strategy": "bogus"}), id="sybil-section-strategy"),
+        pytest.param(with_behavior({**BETRAYER, "turn_round": "2"}), id="turn_round-string"),
+        pytest.param(with_behavior({**BETRAYER, "turn_round": None}), id="turn_round-null"),
+        pytest.param(with_behavior({**COLLUDER, "group_id": "x"}), id="group_id-string"),
+        pytest.param(with_behavior({"kind": "sybil", "spawn_round": 2.5}), id="spawn_round-fraction"),
+        pytest.param(with_behavior({"kind": ["sybil"]}), id="kind-list"),
+        pytest.param(variant(sybil={"n_fakes": -2}), id="n_fakes-negative"),
+        pytest.param(variant(sybil={"n_fakes": "3"}), id="n_fakes-string"),
+        pytest.param(variant(sybil={"spawn_round": 2}), id="n_fakes-missing"),
+        pytest.param(variant(sybil={"n_fakes": 1, "spawn_round": True}), id="sybil-spawn_round-bool"),
+    ],
+)
+def test_bad_behavior_config_exits_1_with_a_message(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

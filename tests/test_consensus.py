@@ -5,11 +5,12 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
-from cidnsim.chain import Chain, Transaction, build_transaction, compute_block_id, make_block
+from cidnsim import consensus as consensus_module
+from cidnsim.chain import Chain, Transaction, build_transaction
 from cidnsim.consensus import (
     ConsensusParams,
     Reason,
@@ -20,17 +21,16 @@ from cidnsim.consensus import (
     compute_stake,
     compute_target,
     eligibility_hash,
-    generate_block,
     hash_to_unit,
     mine,
     mining_bound,
     prefix_fraction,
+    propose,
     resolve,
     validate_block,
 )
 from cidnsim.consensus import _mining_hash
-from cidnsim.encoding import enc_int
-from cidnsim.experiments import _mine_on
+from cidnsim.encoding import enc_int, enc_list
 from cidnsim.keys import KeyPair, KeyRegistry
 from mutations import MUTATION_CLASSES, mutate_block
 
@@ -246,7 +246,7 @@ def _salted_block(key, ctx, chain, trusts, gen_time=1):
     # payload until this leader qualifies
     for salt in range(200):
         tx = build_transaction(key, {}, {h: t - salt * 1e-9 for h, t in trusts.items()})
-        block = _mine_on(chain, key, gen_time, [tx], ctx)
+        block, _ = propose(chain, key, gen_time, [tx], ctx)
         if block is not None:
             return block
     raise AssertionError("setup: no qualifying payload found")
@@ -256,13 +256,104 @@ def _honest_block(key, ctx, chain, gen_time=1):
     return _salted_block(key, ctx, chain, {f"h{i}": 0.99 for i in range(6)}, gen_time)
 
 
-def test_generate_then_validate_round_trip():
+def test_propose_then_validate_round_trip():
     key = key_of("consensus-leader")
     ctx = _simple_context([key])
     chain = Chain.genesis()
     block = _honest_block(key, ctx, chain)
     ok, reason = validate_block(block, chain, ctx)
     assert ok and reason == Reason.OK
+
+
+def _one_block_parent(leader, other, ctx, trusts):
+    """Genesis extended by a block of ``other`` that also commits a trust
+    list of ``leader``, so a proposal without its own transaction draws its
+    stake from the chain."""
+    chain = Chain.genesis()
+    prior = build_transaction(leader, {other.node_id: 0.9}, trusts)
+    for salt in range(200):
+        tx = build_transaction(other, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
+        block, _ = propose(chain, other, 1, [tx, prior], ctx)
+        if block is not None:
+            return chain.extended(block)
+    raise AssertionError("setup: no qualifying payload found")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trusts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    gen_time=st.integers(2, 40),
+    one_block_parent=st.booleans(),
+    own_tx=st.booleans(),
+    peer_tx=st.booleans(),
+    reverse=st.booleans(),
+)
+def test_every_proposed_block_validates_on_its_parent(
+    trusts, gen_time, one_block_parent, own_tx, peer_tx, reverse
+):
+    """Whatever ``propose`` returns is a block its validators accept, and the
+    attempts it reports are those the counter search spent."""
+    leader, other = key_of("propose-leader"), key_of("propose-other")
+    ctx = _simple_context([leader, other])
+    host_trusts = {f"h{i}": t for i, t in enumerate(trusts)}
+    chain = (
+        _one_block_parent(leader, other, ctx, host_trusts)
+        if one_block_parent
+        else Chain.genesis()
+    )
+    txs = []
+    if own_tx:
+        txs.append(build_transaction(leader, {other.node_id: 0.7}, host_trusts))
+    if peer_tx:
+        txs.append(build_transaction(other, {leader.node_id: 0.6}, {"h0": 0.2}))
+    if reverse:
+        txs.reverse()
+    block, attempts = propose(chain, leader, gen_time, txs, ctx)
+    if block is None:
+        assert attempts in (0, PARAMS.q_max)
+        return
+    assert attempts == block.header.ctr
+    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+
+
+def test_a_leader_with_zero_stake_proposes_nothing_and_mines_nothing(monkeypatch):
+    """An empty trust list has no stake, so the target is 0: an eligible
+    leader gets (None, 0) without a single hash attempt."""
+    leader, other = key_of("zero-stake-leader"), key_of("zero-stake-other")
+    ctx = _simple_context([leader, other])
+    chain = Chain.genesis()
+    avg = chain_average_credibility(
+        chain, leader.node_id, ctx.members_at(1), ctx.initial_trust
+    )
+    for salt in range(200):
+        tx = build_transaction(leader, {other.node_id: 0.5 - salt * 1e-9}, {})
+        payload = enc_list([tx], Transaction.encode)
+        eligible, _ = check_eligibility(
+            leader.node_id, PARAMS.d_cred, avg, chain.tip_hash, payload
+        )
+        if eligible:
+            break
+    else:
+        raise AssertionError("setup: no eligible payload found")
+
+    def no_mining(*args):
+        raise AssertionError("mine called with a zero target")
+
+    monkeypatch.setattr(consensus_module, "mine", no_mining)
+    assert propose(chain, leader, 1, [tx], ctx) == (None, 0)
+
+
+def test_a_registered_leader_outside_the_membership_is_unknown():
+    """The registry alone does not make a leader: a block by a registered
+    key that is not a member at its round is rejected."""
+    key, outsider = key_of("consensus-leader"), key_of("consensus-outsider")
+    insiders = _simple_context([key])
+    ctx = _simple_context([key, outsider])
+    chain = Chain.genesis()
+    block = _honest_block(outsider, ctx, chain)
+    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+    ctx.members_at = insiders.members_at
+    assert validate_block(block, chain, ctx) == (False, Reason.UNKNOWN_LEADER)
 
 
 @pytest.mark.parametrize("mutate,expected", MUTATION_CLASSES)

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cidnsim.netsim import (
-    KIND_ALERT,
     KIND_BLOCK,
+    KIND_CHALLENGE,
+    KIND_RESPONSE,
     KIND_TRANSACTION,
     Network,
     derived_rng,
@@ -20,12 +21,13 @@ def test_send_delivers_once_in_order():
     net = Network(seed=1)
     net.add_node("a")
     net.add_node("b")
-    net.send(KIND_ALERT, "a", "b", "alert", rnd=1)
+    net.send(KIND_RESPONSE, "a", "b", "resp", rnd=1)
+    net.send(KIND_CHALLENGE, "a", "b", "ch", rnd=1)
     net.send(KIND_TRANSACTION, "a", "b", "tx", rnd=1)
     net.send(KIND_BLOCK, "a", "b", "blk", rnd=1)
     delivered = net.step(1)
-    # blocks sort before transactions, alerts last, per-sender
-    assert [m.payload for m in delivered["b"]] == ["blk", "tx", "alert"]
+    # per sender: blocks, then transactions, challenges, responses
+    assert [m.payload for m in delivered["b"]] == ["blk", "tx", "ch", "resp"]
     assert net.step(2) == {}
     assert net.pending_count() == 0
 
