@@ -9,10 +9,8 @@ exactly the nodes the protocol says it should favour.
 
 import argparse
 
-from scipy.stats import spearmanr
-
 from cidnsim.consensus import ConsensusParams
-from cidnsim.experiments import leader_election_trial
+from cidnsim.experiments import leader_election_trial, spearman_rho
 
 
 def main() -> None:
@@ -26,7 +24,7 @@ def main() -> None:
     for seed in args.seeds:
         stats = leader_election_trial(args.nodes, args.rounds, params, seed)
         counts, expected = stats.fairness_inputs()
-        rho, _ = spearmanr(counts, expected)
+        rho = spearman_rho(counts, expected)
         print(f"seed={seed}  blocks={sum(counts)}  spearman_rho={rho:.4f}")
 
 

@@ -40,7 +40,7 @@ ZERO_HASH = b"\x00" * HASH_LEN
 
 
 class ChainError(ValueError):
-    """Structural violation: bad linkage, duplicate block, malformed record."""
+    """Structural violation: bad linkage or a malformed record."""
 
 
 def _sha256(data: bytes) -> bytes:
@@ -135,8 +135,9 @@ class Transaction:
             + enc_list(self.evidence_list, EvidenceRecord.encode)
         )
 
-    @_memoized
     def signed_bytes(self) -> bytes:
+        """The id and the body, which the signature covers; ``encode``
+        keeps them, so they are not kept a second time."""
         return self.tx_id + self.body_bytes()
 
     @_memoized
@@ -186,9 +187,8 @@ def build_transaction(
     # transaction's body too
     body = unsigned.body_bytes()
     tx_id = _sha256(body)
-    signed = tx_id + body
-    tx = replace(unsigned, tx_id=tx_id, signature=key.sign(signed))
-    return _with_memo(tx, body_bytes=body, signed_bytes=signed)
+    tx = replace(unsigned, tx_id=tx_id, signature=key.sign(tx_id + body))
+    return _with_memo(tx, body_bytes=body)
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
@@ -339,18 +339,15 @@ class Chain:
         latest_cred: dict[str, dict[str, float]],
         latest_trust: dict[str, dict[str, float]],
         last_led_round: dict[str, int],
-        block_ids: set[bytes],
     ):
         self.blocks = blocks
         self.latest_cred = latest_cred
         self.latest_trust = latest_trust
         self.last_led_round = last_led_round
-        self._block_ids = block_ids
 
     @staticmethod
     def genesis() -> "Chain":
-        g = genesis_block()
-        return Chain([g], {}, {}, {}, {g.header.block_id})
+        return Chain([genesis_block()], {}, {}, {})
 
     @property
     def tip(self) -> Block:
@@ -367,25 +364,19 @@ class Chain:
         """Return a new chain with ``b`` appended.
 
         Consensus-level validity is the caller's business; this only checks
-        linkage and duplicates.
+        linkage.  Linkage also rules out a duplicate: a block already in the
+        chain would have to link to a tip whose hash covers that block, which
+        takes a SHA-256 collision.
         """
         if b.header.prev_hash != self.tip_hash:
             raise ChainError("prev_hash does not match the chain tip")
-        if b.header.block_id in self._block_ids:
-            raise ChainError("duplicate block_id")
         # _apply_block replaces an observer's lists and never edits them, so
         # the per-observer dicts can be shared with the parent chain
         latest_cred = dict(self.latest_cred)
         latest_trust = dict(self.latest_trust)
         last_led = dict(self.last_led_round)
         _apply_block(b, latest_cred, latest_trust, last_led)
-        return Chain(
-            self.blocks + [b],
-            latest_cred,
-            latest_trust,
-            last_led,
-            self._block_ids | {b.header.block_id},
-        )
+        return Chain(self.blocks + [b], latest_cred, latest_trust, last_led)
 
     def chain_state_credibility(self, target: str) -> dict[str, float]:
         """Each observer's most recent on-chain credibility of ``target``."""

@@ -174,13 +174,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-def _spearman(xs: list[float], ys: list[float]) -> float:
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(xs, ys).statistic
-    return float(rho) if rho == rho else 0.0  # NaN when an input is constant
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     metrics_path = os.path.join(args.dir, "metrics.csv")
     result_path = os.path.join(args.dir, "result.json")
@@ -210,7 +203,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if node_summaries:
         blocks = [float(s["blocks_mined"]) for s in node_summaries.values()]
         scores = [float(s["mean_election_score"]) for s in node_summaries.values()]
-        rho = _spearman(blocks, scores) if len(blocks) > 1 else 0.0
+        # imported here, so that run and verify do not load the experiments
+        from .experiments import spearman_rho
+
+        rho = spearman_rho(blocks, scores)
         print("== leader election ==")
         print(f"  nodes: {len(node_summaries)}")
         print(f"  blocks mined total: {int(sum(blocks))}")

@@ -127,6 +127,25 @@ def _integer(value: Any, name: str) -> int:
     return int(value)
 
 
+def _real(value: Any, name: str) -> float:
+    """A JSON number as a float; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value: Any, name: str) -> Mapping[str, Any]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+def _array(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array, got {value!r}")
+    return value
+
+
 def _sybil_strategy(value: Any, where: str) -> str:
     if value not in ("invert", "empty"):
         raise ConfigError(f"{where}.strategy must be invert or empty, got {value!r}")
@@ -178,7 +197,7 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
          "hosts", "nodes", "sybil"},
         "config",
     )
-    if d.get("schema_version") != SCHEMA_VERSION:
+    if _integer(d.get("schema_version"), "schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {d.get('schema_version')}"
         )
@@ -186,7 +205,7 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
         if req not in d:
             raise ConfigError(f"missing required field: {req}")
 
-    t = d["trust"]
+    t = _object(d["trust"], "trust")
     _check_keys(
         t,
         {"forgetting", "severity", "cred_threshold", "initial_trust",
@@ -195,65 +214,70 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
     )
     try:
         trust_params = TrustParams(
-            forgetting=float(t["forgetting"]),
-            severity=float(t["severity"]),
-            cred_threshold=float(t["cred_threshold"]),
-            initial_trust=float(t["initial_trust"]),
-            blacklist_threshold=float(t["blacklist_threshold"]),
-            interval_len=int(t["interval_len"]),
+            forgetting=_real(t["forgetting"], "forgetting"),
+            severity=_real(t["severity"], "severity"),
+            cred_threshold=_real(t["cred_threshold"], "cred_threshold"),
+            initial_trust=_real(t["initial_trust"], "initial_trust"),
+            blacklist_threshold=_real(t["blacklist_threshold"], "blacklist_threshold"),
+            interval_len=_integer(t["interval_len"], "interval_len"),
         )
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(f"trust: {e}") from e
 
-    c = d["consensus"]
+    c = _object(d["consensus"], "consensus")
     _check_keys(c, {"d_cred", "d_stake", "r_bits", "q_max", "t_cap"}, "consensus")
     try:
         consensus_params = ConsensusParams(
-            d_cred=float(c["d_cred"]),
-            d_stake=float(c["d_stake"]),
+            d_cred=_real(c["d_cred"], "d_cred"),
+            d_stake=_real(c["d_stake"], "d_stake"),
             r_bits=_integer(c["r_bits"], "r_bits"),
             q_max=_integer(c["q_max"], "q_max"),
             t_cap=_integer(c["t_cap"], "t_cap"),
         )
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError) as e:
         raise ConfigError(f"consensus: {e}") from e
 
-    n = d.get("network", {})
+    n = _object(d.get("network", {}), "network")
     _check_keys(
         n,
         {"drop_prob", "delay_rounds", "challenge_prob", "challenge_priorities"},
         "network",
     )
     network = NetParams(
-        drop_prob=float(n.get("drop_prob", 0.0)),
-        delay_rounds=int(n.get("delay_rounds", 0)),
-        challenge_prob=float(n.get("challenge_prob", 0.5)),
-        challenge_priorities=str(n.get("challenge_priorities", "uniform")),
+        drop_prob=_real(n.get("drop_prob", 0.0), "network.drop_prob"),
+        delay_rounds=_integer(n.get("delay_rounds", 0), "network.delay_rounds"),
+        challenge_prob=_real(n.get("challenge_prob", 0.5), "network.challenge_prob"),
+        challenge_priorities=n.get("challenge_priorities", "uniform"),
     )
 
     hosts = []
-    for i, h in enumerate(d["hosts"]):
-        _check_keys(h, {"p_mal"}, f"hosts[{i}]")
-        hosts.append(HostSpec(p_mal=float(h.get("p_mal", 0.0))))
+    for i, h in enumerate(_array(d["hosts"], "hosts")):
+        where = f"hosts[{i}]"
+        _check_keys(_object(h, where), {"p_mal"}, where)
+        hosts.append(HostSpec(p_mal=_real(h.get("p_mal", 0.0), f"{where}.p_mal")))
 
     nodes = []
-    for i, nd in enumerate(d["nodes"]):
+    for i, nd in enumerate(_array(d["nodes"], "nodes")):
+        where = f"nodes[{i}]"
         _check_keys(
-            nd, {"behavior", "know_prob", "fp", "fn", "monitors"}, f"nodes[{i}]"
+            _object(nd, where), {"behavior", "know_prob", "fp", "fn", "monitors"}, where
         )
         nodes.append(
             NodeSpec(
-                behavior=_behavior_from(nd.get("behavior"), f"nodes[{i}]"),
-                know_prob=float(nd.get("know_prob", 1.0)),
-                fp=float(nd.get("fp", 0.0)),
-                fn=float(nd.get("fn", 0.0)),
-                monitors=tuple(int(x) for x in nd.get("monitors", ())),
+                behavior=_behavior_from(nd.get("behavior"), where),
+                know_prob=_real(nd.get("know_prob", 1.0), f"{where}.know_prob"),
+                fp=_real(nd.get("fp", 0.0), f"{where}.fp"),
+                fn=_real(nd.get("fn", 0.0), f"{where}.fn"),
+                monitors=tuple(
+                    _integer(x, f"{where}.monitors[]")
+                    for x in _array(nd.get("monitors", []), f"{where}.monitors")
+                ),
             )
         )
 
     # convenience expansion: a "sybil" section appends n_fakes fake identities
     if "sybil" in d:
-        s = d["sybil"]
+        s = _object(d["sybil"], "sybil")
         _check_keys(s, {"n_fakes", "spawn_round", "strategy"}, "sybil")
         n_fakes = _integer(s.get("n_fakes"), "sybil.n_fakes")
         if n_fakes < 0:
@@ -267,8 +291,8 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
 
     try:
         return SimConfig(
-            rounds=int(d["rounds"]),
-            rng_seed=int(d["rng_seed"]),
+            rounds=_integer(d["rounds"], "rounds"),
+            rng_seed=_integer(d["rng_seed"], "rng_seed"),
             trust=trust_params,
             consensus=consensus_params,
             network=network,

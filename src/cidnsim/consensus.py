@@ -217,16 +217,17 @@ class ValidationContext:
     registry: KeyRegistry
     initial_trust: float  # newcomer credibility, fills unreported observers
     members_at: Callable[[int], Sequence[str]]  # active identities at a round
-    _tx_verdicts: dict[tuple[bytes, bytes], bool] = field(
+    _tx_verdicts: dict[bytes, bool] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def transaction_ok(self, tx: Transaction) -> bool:
         """``verify_transaction`` of ``tx`` under the registry, computed once
-        per distinct transaction.  The key holds every field: the signed bytes
-        carry the id and the body, so a copy that keeps the id and the
-        signature but alters the body is checked afresh."""
-        key = (tx.signed_bytes(), tx.signature)
+        per distinct transaction.  The key is the memoized encoding, which the
+        transaction holds anyway and which carries every field: a copy that
+        keeps the id and the signature but alters the body is checked
+        afresh."""
+        key = tx.encode()
         ok = self._tx_verdicts.get(key)
         if ok is None:
             ok = self._tx_verdicts[key] = verify_transaction(tx, self.registry)
@@ -325,13 +326,15 @@ def validate_block(
     if h.block_id != hashlib.sha256(h.encode_without_id() + b.payload_bytes()).digest():
         return False, Reason.BLOCK_ID
     leader_key = ctx.registry.get(h.leader_id)
-    if leader_key is None or h.leader_id not in ctx.members_at(h.gen_time):
+    members = ctx.members_at(h.gen_time)
+    if leader_key is None or h.leader_id not in members:
         return False, Reason.UNKNOWN_LEADER
     ids = [tx.ids_id for tx in b.transactions]
     if ids != sorted(ids):
         return False, Reason.TX_ORDER
+    # a registered key that has not yet joined signs nothing the block may carry
     for tx in b.transactions:
-        if not ctx.transaction_ok(tx):
+        if tx.ids_id not in members or not ctx.transaction_ok(tx):
             return False, Reason.TX_INVALID
     draw = _draw(
         parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),

@@ -7,11 +7,15 @@ without the full per-node trust loop:
   over nodes with static stake/credibility profiles, for fairness analysis;
 * ``fork_contest``: a seeded construction of two competing mined forks (an
   honest branch and a low-stake coalition branch) resolved by fork choice.
+
+``spearman_rho`` is the fairness statistic of both the election trial and
+``cidnsim report``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .chain import Chain, build_transaction
@@ -31,7 +35,41 @@ from .encoding import enc_int
 from .keys import KeyPair, KeyRegistry
 from .netsim import derived_rng
 
-__all__ = ["ElectionStats", "leader_election_trial", "ForkContest", "fork_contest"]
+__all__ = [
+    "ElectionStats", "leader_election_trial", "ForkContest", "fork_contest",
+    "spearman_rho",
+]
+
+
+def _ranks(xs: list[float]) -> list[float]:
+    """1-based ranks of ``xs``; tied values share the average of their ranks."""
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    ranks = [0.0] * len(xs)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        for k in order[i : j + 1]:
+            ranks[k] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def spearman_rho(xs: list[float], ys: list[float]) -> float:
+    """Spearman's rank correlation: Pearson's r of the average ranks; 0 when
+    it is undefined (an input is constant or holds a NaN)."""
+    if any(math.isnan(v) for v in xs + ys):
+        return 0.0
+    rx, ry = _ranks(xs), _ranks(ys)
+    mean = (len(xs) + 1) / 2  # of ranks 1..n, ties included
+    dx = [r - mean for r in rx]
+    dy = [r - mean for r in ry]
+    sxx = sum(a * a for a in dx)
+    syy = sum(b * b for b in dy)
+    if sxx == 0.0 or syy == 0.0:
+        return 0.0
+    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
 
 
 @dataclass

@@ -2,14 +2,16 @@
 
 A node's identifier is the SHA-256 fingerprint (hex) of its raw public key.
 
-Verdicts are memoized per (public key, signature, message) triple: every
-peer checks the same broadcast objects, and the predicate is pure.  A
-signature this process made is known valid when it is made (Ed25519 signing
-is deterministic and a correct signature verifies under its own key, RFC
-8032), so ``KeyPair.sign`` records its triple as verified.  Every other
-triple (forged, altered, presented under another key, or read from an
-export) is checked once by ``Ed25519PublicKey.verify``.  A fresh process,
-such as ``cidnsim verify``, therefore checks every distinct signature.
+Verdicts are memoized per (public key, signature, SHA-256 of the message)
+triple: every peer checks the same broadcast objects, and the predicate is
+pure.  The memo keeps the 32-byte digest rather than the message, so it
+holds no second copy of any signed record.  A signature this process made
+is known valid when it is made (Ed25519 signing is deterministic and a
+correct signature verifies under its own key, RFC 8032), so
+``KeyPair.sign`` records its triple as verified.  Every other triple
+(forged, altered, presented under another key, or read from an export) is
+checked once by ``Ed25519PublicKey.verify``.  A fresh process, such as
+``cidnsim verify``, therefore checks every distinct signature.
 """
 
 from __future__ import annotations
@@ -28,6 +30,13 @@ __all__ = ["KeyPair", "node_id_for", "verify", "KeyRegistry"]
 # triple is simply checked again.
 _VERDICTS_MAX = 1 << 16
 _verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+
+def _triple(
+    public_bytes: bytes, signature: bytes, message: bytes
+) -> tuple[bytes, bytes, bytes]:
+    """The memo key of a verification: the message enters as its digest."""
+    return public_bytes, bytes(signature), hashlib.sha256(message).digest()
 
 
 def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
@@ -55,21 +64,18 @@ class KeyPair:
         return KeyPair(Ed25519PrivateKey.from_private_bytes(seed))
 
     def sign(self, message: bytes) -> bytes:
-        """Sign ``message`` and record the triple as verified.  The memo
-        keeps ``message`` itself, so a caller that hands the same bytes
-        object to ``verify`` shares it rather than holding a copy."""
-        message = bytes(message)
+        """Sign ``message`` and record the triple as verified."""
         signature = self._private.sign(message)
-        _remember((self.public_bytes, signature, message), True)
+        _remember(_triple(self.public_bytes, signature, message), True)
         return signature
 
 
 def verify(public_bytes: bytes, signature: bytes, message: bytes) -> bool:
-    triple = (public_bytes, bytes(signature), bytes(message))
+    triple = _triple(public_bytes, signature, message)
     ok = _verdicts.get(triple)
     if ok is None:
         try:
-            Ed25519PublicKey.from_public_bytes(public_bytes).verify(triple[1], triple[2])
+            Ed25519PublicKey.from_public_bytes(public_bytes).verify(triple[1], message)
             ok = True
         except (InvalidSignature, ValueError):
             ok = False

@@ -78,8 +78,11 @@ class Network:
         self._drop_streams: dict[tuple, random.Random] = {}
 
     def send(self, kind: str, sender: str, receiver: str, payload: Any, rnd: int) -> None:
-        """Schedule one copy; it may be dropped."""
-        if self._drop_rng(sender, receiver).random() < self.drop_prob:
+        """Schedule one copy; it may be dropped.  A lossless network draws
+        nothing, since no draw could drop a copy, and so makes no streams."""
+        if self.drop_prob > 0.0 and (
+            self._drop_rng(sender, receiver).random() < self.drop_prob
+        ):
             return
         self._pending.append(
             Message(kind, sender, receiver, payload, rnd + self.delay_rounds)

@@ -116,39 +116,43 @@ class StoredBlock:
 
     chain: the parent chain extended by the block (None when invalid).
     score: cumulative fork-choice weight from genesis to the block.
-    committed: ids of every transaction from genesis to the block.
     """
 
     ok: bool
     reason: str
     chain: Chain | None = None
     score: float = 0.0
-    committed: frozenset[bytes] = frozenset()
 
 
 class BlockStore:
     """Validation results and derived state of every distinct block, shared
     by all replicas that agree on one ``ValidationContext``.
 
-    Validity, the derived chain, the score and the committed set are pure
-    functions of the block and its parent, so each block is validated and
-    extended once, however many replicas receive it.  Entries are keyed on
-    the full block identity: ``hash_block`` leaves the leader signature out,
-    and a copy with a forged signature must not shadow the genuine block.
-    The parent is named by ``prev_hash``; every parent with that hash derives
-    the same state, so one entry serves all of them.
+    Validity, the derived chain and the score are pure functions of the
+    block and its parent, so each block is validated and extended once,
+    however many replicas receive it.  Entries are keyed on the full block
+    identity: ``hash_block`` leaves the leader signature out, and a copy with
+    a forged signature must not shadow the genuine block.  The parent is
+    named by ``prev_hash``; every parent with that hash derives the same
+    state, so one entry serves all of them.
+
+    Each transaction id is indexed to the (height, hash) of the valid blocks
+    that hold it, so whether a chain commits a transaction is a look at those
+    heights of the chain, with no per-block set of everything committed.
     """
 
     def __init__(self) -> None:
         self.genesis = StoredBlock(True, Reason.OK, Chain.genesis())
         self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
+        self._holders: dict[bytes, list[tuple[int, bytes]]] = {}
 
     def admit(
         self, b: Block, parent: StoredBlock, ctx: ValidationContext
     ) -> StoredBlock:
         """The entry of ``b`` on ``parent``, validating and extending only on
         first sight."""
-        key = (hash_block(b), b.leader_signature)
+        bh = hash_block(b)
+        key = (bh, b.leader_signature)
         entry = self._entries.get(key)
         if entry is None:
             ok, reason = validate_block(b, parent.chain, ctx)
@@ -158,12 +162,22 @@ class BlockStore:
                     reason,
                     parent.chain.extended(b),
                     parent.score + block_weight(parent.chain, b, ctx),
-                    parent.committed | {tx.tx_id for tx in b.transactions},
                 )
+                holder = (len(parent.chain), bh)
+                for tx in b.transactions:
+                    self._holders.setdefault(tx.tx_id, []).append(holder)
             else:
                 entry = StoredBlock(ok, reason)
             self._entries[key] = entry
         return entry
+
+    def commits(self, chain: Chain, tx_id: bytes) -> bool:
+        """Whether a block of ``chain`` holds the transaction ``tx_id``."""
+        blocks = chain.blocks
+        return any(
+            height < len(blocks) and hash_block(blocks[height]) == bh
+            for height, bh in self._holders.get(tx_id, ())
+        )
 
 
 @dataclass
@@ -374,9 +388,11 @@ class Node:
         return False
 
     def _drop_committed_pending(self) -> None:
-        committed = self._received[self.replica.tip_hash].committed
+        commits = self.ctx.block_store.commits
         self.pending_txs = {
-            sid: tx for sid, tx in self.pending_txs.items() if tx.tx_id not in committed
+            sid: tx
+            for sid, tx in self.pending_txs.items()
+            if not commits(self.replica, tx.tx_id)
         }
 
     # -- (2) diffusion ----------------------------------------------------

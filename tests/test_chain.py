@@ -110,14 +110,19 @@ def test_any_single_byte_flip_invalidates_transaction(data):
 
 
 def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
-    """The memoized encodings are the very objects that were hashed and
-    signed, and the signature memo shares them instead of holding a copy."""
+    """The bytes that were signed are held once, inside the transaction's
+    memoized encoding: the transaction keeps no separate copy of them, and
+    the signature memo keeps only their digest."""
     _, keys_ = registry_and_keys
     tx = build_transaction(keys_[0], {"peerA": 0.6}, {"10.0.0.1": 0.3})
-    assert tx.signed_bytes() == tx.tx_id + tx.body_bytes()
+    signed = tx.signed_bytes()
+    assert signed == tx.tx_id + tx.body_bytes()
     assert tx.tx_id == hashlib.sha256(tx.body_bytes()).digest()
-    signed = [m for (_, sig, m) in keys._verdicts if sig == tx.signature]
-    assert len(signed) == 1 and signed[0] is tx.signed_bytes()
+    assert tx.encode().startswith(signed)
+    held = [v for v in vars(tx).values() if isinstance(v, bytes)]
+    assert signed not in held
+    remembered = [m for (_, sig, m) in keys._verdicts if sig == tx.signature]
+    assert remembered == [hashlib.sha256(signed).digest()]
 
 
 # -- blocks -----------------------------------------------------------------

@@ -6,6 +6,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from cidnsim.chain import (
     Chain,
@@ -18,7 +21,9 @@ from cidnsim.chain import (
 from cidnsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from cidnsim.config import load_config
 from cidnsim.consensus import Reason, ValidationContext, propose, validate_block
+from cidnsim.experiments import spearman_rho
 from cidnsim.keys import KeyPair
+from cidnsim.simulation import membership
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -207,6 +212,36 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     assert "registry differs from the configured membership" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
+    tiny_config, tmp_path, capsys
+):
+    """A member leads a block, valid in every other respect, that carries a
+    transaction of a configured node before that node's spawn round."""
+    path, d = tiny_config
+    d["nodes"].append({"behavior": {"kind": "sybil", "spawn_round": 10}})
+    path.write_text(json.dumps(d))
+    cfg = load_config(str(path))
+    keys_, registry, members_at = membership(cfg)
+    leader, late = keys_[0], keys_[-1]
+    assert late.node_id not in members_at(1)
+    ctx = ValidationContext(cfg.consensus, registry, cfg.trust.initial_trust, members_at)
+    chain = Chain.genesis()
+    early = build_transaction(late, {}, {"10.0.0.1": 0.1})
+    for salt in range(200):
+        own = build_transaction(leader, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        forged, _ = propose(chain, leader, 1, [own, early], ctx)
+        if forged is not None:
+            break
+    else:
+        raise AssertionError("setup: the leader never won the lottery")
+
+    chain_path = tmp_path / "chain.jsonl"
+    export_chain(chain.extended(forged), registry, str(chain_path))
+    capsys.readouterr()
+    assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
+    assert '"reason": "tx-invalid"' in capsys.readouterr().out
+
+
 def test_report_summarizes_run(tiny_config, tmp_path, capsys):
     config, _ = tiny_config
     out = tmp_path / "out"
@@ -216,6 +251,22 @@ def test_report_summarizes_run(tiny_config, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "blacklist_recall" in text
     assert "rank correlation" in text
+
+
+# few distinct values, so most samples hold ties in one list or both
+_tied = st.one_of(st.integers(0, 3).map(float), st.floats(-1e3, 1e3))
+
+
+@pytest.mark.filterwarnings("ignore")  # scipy warns on a constant input
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_tied, _tied), min_size=2, max_size=25))
+def test_spearman_matches_scipy_with_ties(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    expected = float(spearmanr(xs, ys).statistic)
+    if expected != expected:  # undefined for a constant input
+        expected = 0.0
+    assert spearman_rho(xs, ys) == pytest.approx(expected, abs=1e-12)
 
 
 def test_config_error_exit_code(tmp_path):

@@ -167,3 +167,34 @@ def test_bad_behavior_config_exits_1_with_a_message(config, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(variant(trust=5), id="trust-number"),
+        pytest.param(variant(consensus=[1]), id="consensus-array"),
+        pytest.param(variant(network=5), id="network-number"),
+        pytest.param(variant(hosts=[5]), id="host-entry-number"),
+        pytest.param(variant(hosts={"p_mal": 0.0}), id="hosts-object"),
+        pytest.param(variant(nodes=[{"fp": 0.02}, 5]), id="node-entry-number"),
+        pytest.param(variant(sybil=3), id="sybil-number"),
+        pytest.param(variant(rounds=3.7), id="rounds-fraction"),
+        pytest.param(variant(rounds="10"), id="rounds-string"),
+        pytest.param(variant(rounds=True), id="rounds-bool"),
+        pytest.param(variant(rng_seed="1"), id="rng_seed-string"),
+        pytest.param(variant(schema_version=True), id="schema_version-bool"),
+        pytest.param(variant(trust={**BASE["trust"], "forgetting": "0.9"}), id="forgetting-string"),
+        pytest.param(variant(trust={**BASE["trust"], "interval_len": 50.5}), id="interval_len-fraction"),
+        pytest.param(variant(network={"delay_rounds": 1.5}), id="delay_rounds-fraction"),
+        pytest.param(variant(network={"drop_prob": False}), id="drop_prob-bool"),
+        pytest.param(variant(hosts=[{"p_mal": "0.9"}]), id="p_mal-string"),
+        pytest.param(variant(nodes=[{"monitors": ["0"]}, {}]), id="monitors-entry-string"),
+        pytest.param(variant(nodes=[{"monitors": 0}, {}]), id="monitors-number"),
+    ],
+)
+def test_bad_field_types_exit_1_with_a_message(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

@@ -356,6 +356,26 @@ def test_a_registered_leader_outside_the_membership_is_unknown():
     assert validate_block(block, chain, ctx) == (False, Reason.UNKNOWN_LEADER)
 
 
+def test_a_transaction_signed_outside_the_membership_is_invalid():
+    """The registry alone does not make a signer either: a member's block
+    that carries a transaction signed by a registered key that has not yet
+    joined is rejected, so those lists never reach chain state."""
+    key, newcomer = key_of("consensus-leader"), key_of("consensus-newcomer")
+    ctx = _simple_context([key, newcomer])
+    chain = Chain.genesis()
+    early = build_transaction(newcomer, {}, {"h0": 0.2})
+    for salt in range(200):
+        own = build_transaction(key, {}, {"h0": 0.99 - salt * 1e-9})
+        block, _ = propose(chain, key, 1, [own, early], ctx)
+        if block is not None:
+            break
+    else:
+        raise AssertionError("setup: no qualifying payload found")
+    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+    ctx.members_at = _simple_context([key]).members_at
+    assert validate_block(block, chain, ctx) == (False, Reason.TX_INVALID)
+
+
 @pytest.mark.parametrize("mutate,expected", MUTATION_CLASSES)
 def test_validation_reason_codes(mutate, expected):
     key = key_of("consensus-leader")

@@ -109,7 +109,14 @@ def test_the_verdict_memo_holds_at_most_2_to_the_16_entries():
         for triple in triples:
             assert not verify(*triple)
         assert len(keys._verdicts) == bound
-        assert triples[0] not in keys._verdicts and triples[2] not in keys._verdicts
-        assert triples[3] in keys._verdicts and triples[-1] in keys._verdicts
+
+        def remembered(i):
+            public, sig, message = triples[i]
+            return (public, sig, hashlib.sha256(message).digest()) in keys._verdicts
+
+        # the oldest three were dropped first; the memo holds digests only
+        assert not remembered(0) and not remembered(2)
+        assert remembered(3) and remembered(-1)
+        assert {len(m) for (_, _, m) in keys._verdicts} == {32}
     finally:
         keys._verdicts.clear()

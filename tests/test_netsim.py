@@ -96,6 +96,16 @@ def test_drop_streams_are_per_pair():
     assert survivors(False) == survivors(True)
 
 
+def test_a_lossless_network_holds_no_drop_streams():
+    net = Network(seed=5, drop_prob=0.0)
+    for n in ("a", "b", "c"):
+        net.add_node(n)
+    for i in range(10):
+        net.broadcast(KIND_TRANSACTION, "a", i, 0)
+    assert net.pending_count() == 30
+    assert net._drop_streams == {}
+
+
 def test_derived_rng_streams_are_independent_and_reproducible():
     a1 = [derived_rng(9, "x", 1).random() for _ in range(3)]
     a2 = [derived_rng(9, "x", 1).random() for _ in range(3)]

@@ -14,7 +14,7 @@ from cidnsim import consensus as consensus_module
 from cidnsim import node as node_module
 from cidnsim.chain import Chain, build_transaction, hash_block, make_block
 from cidnsim.config import config_from_dict
-from cidnsim.consensus import ConsensusParams, Reason, ValidationContext, resolve
+from cidnsim.consensus import ConsensusParams, Reason, ValidationContext, propose, resolve
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.netsim import KIND_BLOCK, Message
 from cidnsim.node import (
@@ -271,6 +271,55 @@ def test_incremental_fork_choice_tracks_the_best_leaf(tree):
         best = min(node._leaves, key=lambda h: (-score_of[h], h))
         assert node.replica.tip_hash == best
     assert not node._orphans
+
+
+@st.composite
+def committing_trees(draw):
+    """A block tree whose blocks carry random subsets of a small pool of
+    transactions, so one transaction sits in blocks at several heights and
+    on several branches; and a delivery order per replica, cut into rounds."""
+    n = draw(st.integers(1, 8))
+    parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
+    payloads = [draw(st.sets(st.integers(0, 3), min_size=1)) for _ in range(n)]
+    deliveries = []
+    for _ in range(2):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
+        deliveries.append((order, cuts))
+    return parents, payloads, deliveries
+
+
+@settings(max_examples=30, deadline=None)
+@given(tree=committing_trees())
+def test_the_store_commit_check_agrees_with_a_scan_of_the_replica(tree):
+    """Two replicas sharing one block store receive the same tree in
+    different orders; after every round, a transaction is committed by the
+    store's index exactly when a block of the replica's chain holds it, and
+    only those leave the pending set."""
+    parents, payloads, deliveries = tree
+    first = make_node(Behavior(), n_nodes=1)
+    replicas = [first, Node(first.ctx, 1, first.key, Behavior(), ["10.9.0.1"])]
+    store, vctx = first.ctx.block_store, first.ctx.validation_context
+    pool = [build_transaction(first.key, {}, {"10.9.0.1": 0.9 + i / 100}) for i in range(4)]
+    chains, blocks = [], []
+    for i, (parent, payload) in enumerate(zip(parents, payloads)):
+        base = store.genesis.chain if parent < 0 else chains[parent]
+        block, _ = propose(base, first.key, i + 1, [pool[j] for j in payload], vctx)
+        assert block is not None  # a lone member is always eligible
+        blocks.append(block)
+        chains.append(base.extended(block))
+
+    for node, (order, cuts) in zip(replicas, deliveries):
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            node._ingest_blocks([blocks[i] for i in order[lo:hi]])
+            on_chain = {t.tx_id for b in node.replica.blocks for t in b.transactions}
+            for tx in pool:
+                assert store.commits(node.replica, tx.tx_id) == (tx.tx_id in on_chain)
+            node.pending_txs = {str(j): tx for j, tx in enumerate(pool)}
+            node._drop_committed_pending()
+            assert {tx.tx_id for tx in node.pending_txs.values()} == (
+                {tx.tx_id for tx in pool} - on_chain
+            )
 
 
 def test_transaction_verdict_is_computed_once_and_keyed_on_every_field(monkeypatch):
