@@ -140,7 +140,7 @@ def verify_chain(chain_path: str, config: SimConfig) -> tuple[bool, dict]:
     )
     chain = Chain.genesis()
     for i, b in enumerate(blocks[1:], start=1):
-        ok, reason = validate_block(b, chain, ctx)
+        ok, reason, _ = validate_block(b, chain, ctx)
         if not ok:
             return False, {"block": i, "reason": reason}
         chain = chain.extended(b)

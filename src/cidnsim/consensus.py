@@ -1,10 +1,12 @@
-"""Hybrid PoW/PoS leader election, block validation, and fork choice.
+"""Hybrid PoW/PoS leader election and block validation.
 
 A node may mine only if a hash of its identity, the parent hash, and the
 payload falls under a credibility-scaled target (the eligibility lottery);
 it then brute-forces a bounded counter against a stake-and-time target.
 The proposer and every validator derive this draw in one place from
-committed chain state, so block validity is observer-independent.
+committed chain state, so block validity is observer-independent.  The
+draw also yields the block's fork-choice weight (leader stake times average
+credibility), which validation returns with its verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .chain import (
     Block,
     Chain,
     Transaction,
-    hash_block,
     make_block,
     verify_transaction,
 )
@@ -41,9 +42,6 @@ __all__ = [
     "mine",
     "propose",
     "validate_block",
-    "block_weight",
-    "fork_score",
-    "resolve",
     "chain_average_credibility",
     "leader_trust_values",
     "time_since_last_block",
@@ -267,11 +265,12 @@ def time_since_last_block(parent: Chain, leader_id: str, gen_time: int) -> int:
 def _draw(
     parent: Chain, prev_hash: bytes, leader_id: str, gen_time: int,
     payload: bytes, transactions: Sequence[Transaction], ctx: ValidationContext,
-) -> tuple[bytes, float] | None:
+) -> tuple[bytes, float, float] | None:
     """The proof-of-stake draw of ``leader_id`` on ``parent``, whose tip hash
-    is ``prev_hash``: (eligibility hash, mining target), or None when the
-    leader fails the credibility lottery.  The proposer and every validator
-    derive it here, from committed state only."""
+    is ``prev_hash``: (eligibility hash, mining target, fork-choice weight),
+    or None when the leader fails the credibility lottery.  The weight is the
+    leader's stake times its average credibility.  The proposer and every
+    validator derive the draw here, from committed state only."""
     p = ctx.params
     members = ctx.members_at(gen_time)
     avg_cred = chain_average_credibility(parent, leader_id, members, ctx.initial_trust)
@@ -280,7 +279,8 @@ def _draw(
         return None
     stake = compute_stake(leader_trust_values(parent, leader_id, transactions))
     time_since = time_since_last_block(parent, leader_id, gen_time)
-    return g, compute_target(p.d_stake, stake, time_since, p.t_cap, p.r_bits)
+    target = compute_target(p.d_stake, stake, time_since, p.t_cap, p.r_bits)
+    return g, target, stake * avg_cred
 
 
 def propose(
@@ -300,7 +300,7 @@ def propose(
     draw = _draw(parent, prev_hash, key.node_id, gen_time, payload, txs, ctx)
     if draw is None:
         return None, 0
-    g, target = draw
+    g, target, _ = draw
     if target <= 0.0:
         return None, 0
     ctr, attempts = mine(g, gen_time, target, ctx.params.q_max, ctx.params.r_bits)
@@ -311,89 +311,47 @@ def propose(
 
 def validate_block(
     b: Block, parent: Chain, ctx: ValidationContext
-) -> tuple[bool, str]:
+) -> tuple[bool, str, float]:
     """Full re-derivation of eligibility, target, and mining conditions.
 
-    Returns (ok, reason code); every quantity the header claims is checked
-    against committed state, not taken on faith.
+    Returns (ok, reason code, fork-choice weight of the block on ``parent``);
+    the weight is 0.0 when the block is invalid.  Every quantity the header
+    claims is checked against committed state, not taken on faith.
     """
     p = ctx.params
     h = b.header
     if h.prev_hash != parent.tip_hash:
-        return False, Reason.LINKAGE
+        return False, Reason.LINKAGE, 0.0
     if h.gen_time <= parent.tip.header.gen_time:
-        return False, Reason.GEN_TIME
+        return False, Reason.GEN_TIME, 0.0
     if h.block_id != hashlib.sha256(h.encode_without_id() + b.payload_bytes()).digest():
-        return False, Reason.BLOCK_ID
+        return False, Reason.BLOCK_ID, 0.0
     leader_key = ctx.registry.get(h.leader_id)
     members = ctx.members_at(h.gen_time)
     if leader_key is None or h.leader_id not in members:
-        return False, Reason.UNKNOWN_LEADER
+        return False, Reason.UNKNOWN_LEADER, 0.0
     ids = [tx.ids_id for tx in b.transactions]
     if ids != sorted(ids):
-        return False, Reason.TX_ORDER
+        return False, Reason.TX_ORDER, 0.0
     # a registered key that has not yet joined signs nothing the block may carry
     for tx in b.transactions:
         if tx.ids_id not in members or not ctx.transaction_ok(tx):
-            return False, Reason.TX_INVALID
+            return False, Reason.TX_INVALID, 0.0
     draw = _draw(
         parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),
         b.transactions, ctx,
     )
     if draw is None:
-        return False, Reason.ELIGIBILITY
-    g, target = draw
+        return False, Reason.ELIGIBILITY, 0.0
+    g, target, weight = draw
     if target != h.target_v:
-        return False, Reason.TARGET_MISMATCH
+        return False, Reason.TARGET_MISMATCH, 0.0
     if not 1 <= h.ctr <= p.q_max:
-        return False, Reason.CTR_BOUND
+        return False, Reason.CTR_BOUND, 0.0
     if not _mining_hash(g, h.gen_time, h.ctr) < mining_bound(h.target_v, p.r_bits):
-        return False, Reason.MINING
+        return False, Reason.MINING, 0.0
     # the signed bytes leave the signature out, so they are those of the
     # unsigned block the leader signed
     if not verify(leader_key, b.leader_signature, b.signed_bytes()):
-        return False, Reason.LEADER_SIGNATURE
-    return True, Reason.OK
-
-
-def block_weight(parent: Chain, b: Block, ctx: ValidationContext) -> float:
-    """Fork-choice weight of ``b`` on ``parent``: the leader's stake times its
-    average credibility, both from committed state."""
-    leader = b.header.leader_id
-    members = ctx.members_at(b.header.gen_time)
-    avg = chain_average_credibility(parent, leader, members, ctx.initial_trust)
-    stake = compute_stake(leader_trust_values(parent, leader, b.transactions))
-    return stake * avg
-
-
-def fork_score(base: Chain, fork: Sequence[Block], ctx: ValidationContext) -> float:
-    """Accumulated block weight over the fork."""
-    score = 0.0
-    chain = base
-    for b in fork:
-        score += block_weight(chain, b, ctx)
-        chain = chain.extended(b)
-    return score
-
-
-def resolve(
-    base: Chain, forks: Sequence[Sequence[Block]], ctx: ValidationContext
-) -> Sequence[Block]:
-    """Pick the fork with the highest accumulated stake-times-credibility.
-
-    Ties break toward the lexicographically smallest tip hash, which is
-    deterministic and independent of input order.
-    """
-    if not forks:
-        raise ValueError("no forks to resolve")
-
-    def tip_hash(fork: Sequence[Block]) -> bytes:
-        return hash_block(fork[-1]) if fork else base.tip_hash
-
-    best = None
-    best_key = None
-    for fork in forks:
-        key = (-fork_score(base, fork, ctx), tip_hash(fork))
-        if best_key is None or key < best_key:
-            best, best_key = fork, key
-    return best
+        return False, Reason.LEADER_SIGNATURE, 0.0
+    return True, Reason.OK, weight

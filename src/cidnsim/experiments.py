@@ -6,7 +6,8 @@ without the full per-node trust loop:
 * ``leader_election_trial``: many rounds of the eligibility + mining lottery
   over nodes with static stake/credibility profiles, for fairness analysis;
 * ``fork_contest``: a seeded construction of two competing mined forks (an
-  honest branch and a low-stake coalition branch) resolved by fork choice.
+  honest branch and a low-stake coalition branch), grown and scored through
+  the simulator's block store and ranked by its fork-choice order.
 
 ``spearman_rho`` is the fairness statistic of both the election trial and
 ``cidnsim report``.
@@ -17,23 +18,22 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .chain import Chain, build_transaction
+from .chain import build_transaction
 from .consensus import (
     ConsensusParams,
     ValidationContext,
     _mining_hash,
     check_eligibility,
     compute_target,
-    fork_score,
     mine,
     propose,
-    resolve,
-    validate_block,
 )
 from .encoding import enc_int
 from .keys import KeyPair, KeyRegistry
 from .netsim import derived_rng
+from .node import BlockStore, StoredBlock
 
 __all__ = [
     "ElectionStats", "leader_election_trial", "ForkContest", "fork_contest",
@@ -165,7 +165,8 @@ def fork_contest(
     fork_len: int = 3,
     params: ConsensusParams | None = None,
 ) -> ForkContest | None:
-    """Build a bootstrapped chain and two competing mined forks; resolve.
+    """Build a bootstrapped chain and two competing mined forks, and pick
+    the one the simulator's fork choice ranks first.
 
     Honest members publish sharp trust scores (high stake) and receive high
     credibility; coalition members publish scores near 1/2 (low stake) and
@@ -214,48 +215,41 @@ def fork_contest(
             trusts = {h: 0.48 + 0.04 * rng.random() for h in hosts}
         txs.append(build_transaction(k, peers, trusts))
 
-    chain = Chain.genesis()
-    boot = None
+    store = BlockStore()
     for k in keys:
-        boot, _ = propose(chain, k, 1, txs, ctx)
-        if boot is not None:
+        block, _ = propose(store.genesis.chain, k, 1, txs, ctx)
+        if block is not None:
             break
-    if boot is None:
+    else:
         return None
-    ok, reason = validate_block(boot, chain, ctx)
-    assert ok, reason
-    base = chain.extended(boot)
+    base = store.admit(block, store.genesis, ctx)
+    assert base.ok, base.reason
 
-    def grow_fork(leader_pool: list[KeyPair]) -> list:
-        fork = []
+    def grow_fork(leader_pool: list[KeyPair]) -> tuple[StoredBlock, int]:
+        """The fork's tip entry and its length in blocks."""
         tip = base
         for step in range(fork_len):
             gen_time = 2 + step
-            block = None
             for k in leader_pool:
-                block, _ = propose(tip, k, gen_time, [], ctx)
+                block, _ = propose(tip.chain, k, gen_time, [], ctx)
                 if block is not None:
                     break
-            if block is None:
-                break
-            ok, reason = validate_block(block, tip, ctx)
-            assert ok, reason
-            tip = tip.extended(block)
-            fork.append(block)
-        return fork
+            else:
+                return tip, step
+            tip = store.admit(block, tip, ctx)
+            assert tip.ok, tip.reason
+        return tip, fork_len
 
-    honest_fork = grow_fork(keys[:n_honest])
-    coalition_fork = grow_fork(keys[n_honest:])
-    if not honest_fork or not coalition_fork:
+    honest_tip, honest_len = grow_fork(keys[:n_honest])
+    coalition_tip, coalition_len = grow_fork(keys[n_honest:])
+    if not honest_len or not coalition_len:
         return None
 
-    h_score = fork_score(base, honest_fork, ctx)
-    c_score = fork_score(base, coalition_fork, ctx)
-    winner = resolve(base, [coalition_fork, honest_fork], ctx)
+    winner = min(honest_tip, coalition_tip, key=attrgetter("rank"))
     return ForkContest(
-        honest_score=h_score,
-        coalition_score=c_score,
-        honest_won=winner is honest_fork,
-        honest_len=len(honest_fork),
-        coalition_len=len(coalition_fork),
+        honest_score=honest_tip.score - base.score,
+        coalition_score=coalition_tip.score - base.score,
+        honest_won=winner is honest_tip,
+        honest_len=honest_len,
+        coalition_len=coalition_len,
     )

@@ -3,18 +3,21 @@ transaction publication, and mining, plus pluggable adversarial behaviors.
 
 One ``run_round`` call realizes a single round: ingest delivered blocks and
 transactions, adopt the fork-choice winner, fold the committed network view
-into local host trust (adopt-then-combine), refresh the blacklist, measure
-local traffic, handle challenges, publish a transaction when the local
-lists changed, and finally attempt to mine.
+into local host trust (adopt-then-combine), measure local traffic of the
+hosts not blacklisted, handle challenges, publish a transaction when the
+local lists changed, and finally attempt to mine.
+
+Fork choice lives here: the block store scores each valid block by the
+weight its validation returns, added to its parent's score, and every
+replica follows the leaf of best ``StoredBlock.rank``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 from . import trust
 from .chain import (
@@ -25,16 +28,9 @@ from .chain import (
     build_transaction,
     hash_block,
 )
-from .consensus import (
-    ConsensusParams,
-    Reason,
-    ValidationContext,
-    block_weight,
-    propose,
-    validate_block,
-)
+from .consensus import Reason, ValidationContext, propose, validate_block
 from .encoding import enc_int, enc_str
-from .keys import KeyPair, KeyRegistry
+from .keys import KeyPair
 from .netsim import (
     KIND_BLOCK,
     KIND_CHALLENGE,
@@ -50,9 +46,9 @@ from .trust import (
     HostTrustState,
     PeerTrustState,
     TrustParams,
+    is_blacklisted,
     satisfaction,
     update_accumulated_trust,
-    update_blacklist,
     update_satisfaction,
     update_unsure,
 )
@@ -116,12 +112,21 @@ class StoredBlock:
 
     chain: the parent chain extended by the block (None when invalid).
     score: cumulative fork-choice weight from genesis to the block.
+    block_hash: ``hash_block`` of the block, the tip hash of ``chain``, held
+    so that ranking hashes nothing.
     """
 
     ok: bool
     reason: str
     chain: Chain | None = None
     score: float = 0.0
+    block_hash: bytes = b""
+
+    @property
+    def rank(self) -> tuple[float, bytes]:
+        """Fork-choice order, smallest first: the highest accumulated stake x
+        credibility, ties toward the smallest tip hash."""
+        return (-self.score, self.block_hash)
 
 
 class BlockStore:
@@ -142,26 +147,24 @@ class BlockStore:
     """
 
     def __init__(self) -> None:
-        self.genesis = StoredBlock(True, Reason.OK, Chain.genesis())
+        chain = Chain.genesis()
+        self.genesis = StoredBlock(True, Reason.OK, chain, 0.0, chain.tip_hash)
         self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
         self._holders: dict[bytes, list[tuple[int, bytes]]] = {}
 
     def admit(
         self, b: Block, parent: StoredBlock, ctx: ValidationContext
     ) -> StoredBlock:
-        """The entry of ``b`` on ``parent``, validating and extending only on
-        first sight."""
+        """The entry of ``b`` on ``parent``, validating, extending and scoring
+        only on first sight."""
         bh = hash_block(b)
         key = (bh, b.leader_signature)
         entry = self._entries.get(key)
         if entry is None:
-            ok, reason = validate_block(b, parent.chain, ctx)
+            ok, reason, weight = validate_block(b, parent.chain, ctx)
             if ok:
                 entry = StoredBlock(
-                    ok,
-                    reason,
-                    parent.chain.extended(b),
-                    parent.score + block_weight(parent.chain, b, ctx),
+                    ok, reason, parent.chain.extended(b), parent.score + weight, bh
                 )
                 holder = (len(parent.chain), bh)
                 for tx in b.transactions:
@@ -183,13 +186,15 @@ class BlockStore:
 @dataclass
 class RuntimeContext:
     """Shared simulation plumbing every node agrees on; everything but the
-    append-only block store and transaction verdicts is read-only."""
+    append-only block store and transaction verdicts is read-only.
+
+    validation_context: the one context of the run, so its transaction
+    verdicts are shared by every replica and every block validation.
+    """
 
     seed: int
     trust_params: TrustParams
-    consensus_params: ConsensusParams
-    registry: KeyRegistry
-    members_at: Callable[[int], list[str]]
+    validation_context: ValidationContext
     index_of: dict[str, int]
     host_ids: list[str]
     host_pmal: dict[str, float]
@@ -197,17 +202,6 @@ class RuntimeContext:
     challenge_priorities: str  # uniform | binary
     collusion_groups: dict[str, int] = field(default_factory=dict)  # node_id -> group id
     block_store: BlockStore = field(default_factory=BlockStore)
-
-    @cached_property
-    def validation_context(self) -> ValidationContext:
-        """The one context of the run, so its transaction verdicts are shared
-        by every replica and every block validation."""
-        return ValidationContext(
-            params=self.consensus_params,
-            registry=self.registry,
-            initial_trust=self.trust_params.initial_trust,
-            members_at=self.members_at,
-        )
 
 
 class Node:
@@ -271,7 +265,8 @@ class Node:
 
     @property
     def blacklist(self) -> set[str]:
-        return {ip for ip, st in self.host_trust.items() if st.blacklisted}
+        p = self.ctx.trust_params
+        return {ip for ip, st in self.host_trust.items() if is_blacklisted(st, p)}
 
     def _pair_rng(self, cache: dict, purpose: str, other_index: int):
         rng = cache.get(other_index)
@@ -281,7 +276,8 @@ class Node:
         return rng
 
     def _sync_peers(self, rnd: int) -> list[str]:
-        peers = [m for m in self.ctx.members_at(rnd) if m != self.node_id]
+        members = self.ctx.validation_context.members_at(rnd)
+        peers = [m for m in members if m != self.node_id]
         for peer in peers:
             if peer not in self.peer_trust:
                 self.peer_trust[peer] = PeerTrustState.fresh(self.ctx.trust_params)
@@ -312,27 +308,23 @@ class Node:
         if tip_advanced and self.monitors:
             self._combine_from_chain()
 
-        # (3) blacklist refresh
-        self._refresh_blacklist()
-
-        # (4) local traffic measurement (blacklisted hosts produce no packets
+        # (3) local traffic measurement (blacklisted hosts produce no packets
         # to inspect; redemption happens through peers' scores)
         self._measure_traffic(rnd)
-        self._refresh_blacklist()
 
-        # (5) challenges: answer, evaluate, issue
+        # (4) challenges: answer, evaluate, issue
         for ch in challenges:
             out.append((KIND_RESPONSE, ch.challenger, self.respond_to_challenge(ch, rnd)))
         for resp in responses:
             self._evaluate_response(resp)
         out.extend(self._issue_challenges(peers, rnd))
 
-        # (6) publish a transaction when the local lists changed
+        # (5) publish a transaction when the local lists changed
         tx = self._maybe_build_transaction(rnd)
         if tx is not None:
             out.append((KIND_TRANSACTION, None, tx))
 
-        # (7) consensus attempt
+        # (6) consensus attempt
         block = self._attempt_mining(rnd)
         if block is not None:
             self.blocks_mined += 1
@@ -342,9 +334,7 @@ class Node:
     # -- (1) chain --------------------------------------------------------
 
     def _fork_key(self, h: bytes) -> tuple[float, bytes]:
-        """Fork-choice order: highest accumulated stake x credibility first,
-        ties toward the smallest tip hash (as in ``consensus.resolve``)."""
-        return (-self._received[h].score, h)
+        return self._received[h].rank
 
     def _ingest_blocks(self, blocks: Sequence[Block]) -> bool:
         vctx = self.ctx.validation_context
@@ -411,20 +401,15 @@ class Node:
             scores[self.node_id] = state.tr_ids
             combined = trust.combine_trust(self.node_id, weights, scores)
             combined = min(max(combined, _EPS), 1.0 - _EPS)
-            self.host_trust[ip] = replace(state, tr_ids=combined)
+            self.host_trust[ip] = HostTrustState(tr_ids=combined)
 
-    def _refresh_blacklist(self) -> None:
-        p = self.ctx.trust_params
-        for ip, state in self.host_trust.items():
-            self.host_trust[ip] = update_blacklist(state, p)
-
-    # -- (4) measurement --------------------------------------------------
+    # -- (3) measurement --------------------------------------------------
 
     def _measure_traffic(self, rnd: int) -> None:
         p = self.ctx.trust_params
         for ip in self.monitors:
             state = self.host_trust[ip]
-            if state.blacklisted:
+            if is_blacklisted(state, p):
                 continue  # packets dropped unseen
             k, n = host_traffic(
                 self.ctx.host_pmal[ip], self.fp, self.fn, p.interval_len,
@@ -438,7 +423,7 @@ class Node:
                 digests = (hashlib.sha256(alert).digest(),)
             self.evidence[ip] = EvidenceRecord(ip, digests, k, n)
 
-    # -- (5) challenges ---------------------------------------------------
+    # -- (4) challenges ---------------------------------------------------
 
     def respond_to_challenge(self, ch: Challenge, rnd: int) -> ChallengeResponse:
         """Behavior-dependent answer to a received challenge."""
@@ -490,7 +475,7 @@ class Node:
             )
         return out
 
-    # -- (6) transaction --------------------------------------------------
+    # -- (5) transaction --------------------------------------------------
 
     def current_lists(self) -> tuple[dict[str, float], dict[str, float]]:
         """Honest view: peer credibilities and monitored-host trust scores."""
@@ -536,7 +521,7 @@ class Node:
         evidence = {ip: ev for ip, ev in self.evidence.items() if ip in trusts}
         return build_transaction(self.key, creds, trusts, evidence)
 
-    # -- (7) mining -------------------------------------------------------
+    # -- (6) mining -------------------------------------------------------
 
     def _attempt_mining(self, rnd: int) -> Block | None:
         block, attempts = propose(

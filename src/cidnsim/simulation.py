@@ -15,10 +15,16 @@ from typing import Callable
 
 from .chain import Chain
 from .config import SimConfig
-from .consensus import chain_average_credibility, compute_stake, time_since_last_block
+from .consensus import (
+    ValidationContext,
+    chain_average_credibility,
+    compute_stake,
+    time_since_last_block,
+)
 from .keys import KeyPair, KeyRegistry
 from .netsim import KIND_BLOCK, Network
 from .node import Node, RuntimeContext
+from .trust import is_blacklisted
 
 __all__ = ["ScenarioResult", "Simulation", "host_id_for", "membership"]
 
@@ -82,9 +88,12 @@ class Simulation:
         self.ctx = RuntimeContext(
             seed=config.rng_seed,
             trust_params=config.trust,
-            consensus_params=config.consensus,
-            registry=self.registry,
-            members_at=members_at,
+            validation_context=ValidationContext(
+                params=config.consensus,
+                registry=self.registry,
+                initial_trust=config.trust.initial_trust,
+                members_at=members_at,
+            ),
             index_of={nid: i for i, nid in enumerate(ids)},
             host_ids=self.host_ids,
             host_pmal=host_pmal,
@@ -184,7 +193,7 @@ class Simulation:
         """Stake x average-credibility x elapsed-time factor, from the view of
         the first honest replica; feeds the fairness statistic in reports."""
         reference = (self.honest_nodes() or self.nodes)[0].replica
-        members = self.ctx.members_at(rnd)
+        members = self.ctx.validation_context.members_at(rnd)
         tau = self.config.trust.initial_trust
         cp = self.config.consensus
         for n in self.nodes:
@@ -204,7 +213,7 @@ class Simulation:
         tp = fp = fn_ = 0
         for n in honest:
             for ip in n.monitors:
-                flagged = n.host_trust[ip].blacklisted
+                flagged = is_blacklisted(n.host_trust[ip], self.config.trust)
                 bad = ip in truth_malicious
                 if flagged and bad:
                     tp += 1

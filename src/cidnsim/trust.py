@@ -14,7 +14,7 @@ All functions are pure; state types are immutable dataclasses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "measure_instantaneous_trust",
     "update_accumulated_trust",
     "combine_trust",
-    "update_blacklist",
+    "is_blacklisted",
     "average_credibility",
 ]
 
@@ -128,20 +128,13 @@ class PeerTrustState:
 
 @dataclass(frozen=True)
 class HostTrustState:
-    """Per-(observer, host) accumulated trust plus interval counters."""
+    """Per-(observer, host) accumulated trust."""
 
     tr_ids: float
-    normal_count: int = 0
-    packet_count: int = 0
-    blacklisted: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tr_ids < 1.0:
             raise ValueError(f"tr_ids must be strictly inside (0,1): {self.tr_ids}")
-        if self.normal_count < 0 or self.packet_count < 0:
-            raise ValueError("counters must be non-negative")
-        if self.normal_count > self.packet_count:
-            raise ValueError("normal_count exceeds packet_count")
 
     @staticmethod
     def fresh(p: TrustParams) -> "HostTrustState":
@@ -227,15 +220,11 @@ def measure_instantaneous_trust(k: int, n: int) -> float:
 def update_accumulated_trust(
     state: HostTrustState, tr_inst: float, p: TrustParams
 ) -> HostTrustState:
-    """Fold an instantaneous trust observation into the accumulated score.
-
-    Interval counters reset for the next monitoring interval.
-    """
+    """Fold an instantaneous trust observation into the accumulated score."""
     if not 0.0 < tr_inst < 1.0:
         raise ValueError(f"instantaneous trust must be in (0,1): {tr_inst}")
     lam = p.forgetting
-    tr = (1.0 - lam) * tr_inst + lam * state.tr_ids
-    return replace(state, tr_ids=tr, normal_count=0, packet_count=0)
+    return HostTrustState(tr_ids=(1.0 - lam) * tr_inst + lam * state.tr_ids)
 
 
 def combine_trust(
@@ -256,9 +245,10 @@ def combine_trust(
     return sum(w * scores[i] for i, w in contributing.items()) / total
 
 
-def update_blacklist(state: HostTrustState, p: TrustParams) -> HostTrustState:
-    """Blacklist iff accumulated trust is at or below the threshold (inclusive)."""
-    return replace(state, blacklisted=state.tr_ids <= p.blacklist_threshold)
+def is_blacklisted(state: HostTrustState, p: TrustParams) -> bool:
+    """A host is blacklisted iff its accumulated trust is at or below the
+    threshold (inclusive)."""
+    return state.tr_ids <= p.blacklist_threshold
 
 
 def average_credibility(

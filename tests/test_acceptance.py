@@ -206,12 +206,12 @@ def test_criterion_04_consensus_duality_fuzz(capsys):
         ctr, _ = mine(g, gen_time, target, params.q_max, params.r_bits)
         assert ctr is not None
         block = make_block(leader, gen_time, parent.tip_hash, ctr, target, [tx])
-        ok, reason = validate_block(block, parent, ctx)
+        ok, reason, _ = validate_block(block, parent, ctx)
         valid_ok += ok and reason == Reason.OK
 
         how, expected = MUTATION_CLASSES[i % len(MUTATION_CLASSES)]
         mutated = mutate_block(block, how, params.q_max, other_key=other)
-        ok, reason = validate_block(mutated, parent, ctx)
+        ok, reason, _ = validate_block(mutated, parent, ctx)
         mutation_ok += (not ok) and reason == expected
 
     elapsed = time.perf_counter() - started

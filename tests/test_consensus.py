@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from cidnsim import consensus as consensus_module
-from cidnsim.chain import Chain, Transaction, build_transaction
+from cidnsim.chain import Chain, Transaction, build_transaction, hash_block
 from cidnsim.consensus import (
     ConsensusParams,
     Reason,
@@ -22,16 +22,18 @@ from cidnsim.consensus import (
     compute_target,
     eligibility_hash,
     hash_to_unit,
+    leader_trust_values,
     mine,
     mining_bound,
     prefix_fraction,
     propose,
-    resolve,
     validate_block,
 )
 from cidnsim.consensus import _mining_hash
 from cidnsim.encoding import enc_int, enc_list
 from cidnsim.keys import KeyPair, KeyRegistry
+from cidnsim.node import Behavior, Node, RuntimeContext
+from cidnsim.trust import TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
 
 PARAMS = ConsensusParams(d_cred=1.0, d_stake=1.0, r_bits=16, q_max=4096, t_cap=16)
@@ -261,7 +263,7 @@ def test_propose_then_validate_round_trip():
     ctx = _simple_context([key])
     chain = Chain.genesis()
     block = _honest_block(key, ctx, chain)
-    ok, reason = validate_block(block, chain, ctx)
+    ok, reason, _ = validate_block(block, chain, ctx)
     assert ok and reason == Reason.OK
 
 
@@ -291,7 +293,8 @@ def _one_block_parent(leader, other, ctx, trusts):
 def test_every_proposed_block_validates_on_its_parent(
     trusts, gen_time, one_block_parent, own_tx, peer_tx, reverse
 ):
-    """Whatever ``propose`` returns is a block its validators accept, and the
+    """Whatever ``propose`` returns is a block its validators accept, with
+    the leader's stake times its average credibility as its weight; and the
     attempts it reports are those the counter search spent."""
     leader, other = key_of("propose-leader"), key_of("propose-other")
     ctx = _simple_context([leader, other])
@@ -313,7 +316,13 @@ def test_every_proposed_block_validates_on_its_parent(
         assert attempts in (0, PARAMS.q_max)
         return
     assert attempts == block.header.ctr
-    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+    ok, reason, weight = validate_block(block, chain, ctx)
+    assert (ok, reason) == (True, Reason.OK)
+    stake = compute_stake(leader_trust_values(chain, leader.node_id, block.transactions))
+    avg = chain_average_credibility(
+        chain, leader.node_id, ctx.members_at(gen_time), ctx.initial_trust
+    )
+    assert weight == stake * avg > 0.0
 
 
 def test_a_leader_with_zero_stake_proposes_nothing_and_mines_nothing(monkeypatch):
@@ -351,9 +360,9 @@ def test_a_registered_leader_outside_the_membership_is_unknown():
     ctx = _simple_context([key, outsider])
     chain = Chain.genesis()
     block = _honest_block(outsider, ctx, chain)
-    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+    assert validate_block(block, chain, ctx)[:2] == (True, Reason.OK)
     ctx.members_at = insiders.members_at
-    assert validate_block(block, chain, ctx) == (False, Reason.UNKNOWN_LEADER)
+    assert validate_block(block, chain, ctx) == (False, Reason.UNKNOWN_LEADER, 0.0)
 
 
 def test_a_transaction_signed_outside_the_membership_is_invalid():
@@ -371,9 +380,9 @@ def test_a_transaction_signed_outside_the_membership_is_invalid():
             break
     else:
         raise AssertionError("setup: no qualifying payload found")
-    assert validate_block(block, chain, ctx) == (True, Reason.OK)
+    assert validate_block(block, chain, ctx)[:2] == (True, Reason.OK)
     ctx.members_at = _simple_context([key]).members_at
-    assert validate_block(block, chain, ctx) == (False, Reason.TX_INVALID)
+    assert validate_block(block, chain, ctx) == (False, Reason.TX_INVALID, 0.0)
 
 
 @pytest.mark.parametrize("mutate,expected", MUTATION_CLASSES)
@@ -384,9 +393,10 @@ def test_validation_reason_codes(mutate, expected):
     chain = Chain.genesis()
     block = _honest_block(key, ctx, chain)
     mutated = mutate_block(block, mutate, PARAMS.q_max, other_key=other)
-    ok, reason = validate_block(mutated, chain, ctx)
+    ok, reason, weight = validate_block(mutated, chain, ctx)
     assert not ok
     assert reason == expected
+    assert weight == 0.0
 
 
 # -- fork choice ------------------------------------------------------------
@@ -404,23 +414,34 @@ def _fork_setup():
     return chain, ctx, [strong_block], [weak_block]
 
 
-def test_resolve_prefers_higher_stake_times_credibility():
-    chain, ctx, strong_fork, weak_fork = _fork_setup()
-    assert resolve(chain, [weak_fork, strong_fork], ctx) is strong_fork
-    # outcome is independent of input order
-    assert resolve(chain, [strong_fork, weak_fork], ctx) is strong_fork
-
-
-def test_resolve_tie_breaks_on_smallest_tip_hash():
-    from cidnsim.chain import hash_block
-
-    chain, ctx, strong_fork, _ = _fork_setup()
-    # identical fork content under two list identities: score tie
-    clone = list(strong_fork)
-    winner = resolve(chain, [strong_fork, clone], ctx)
-    assert hash_block(winner[-1]) == hash_block(strong_fork[-1])
-    with pytest.raises(ValueError):
-        resolve(chain, [], ctx)
+def test_fork_choice_prefers_higher_stake_times_credibility():
+    """A replica offered two competing blocks on genesis follows the one of
+    higher stake x credibility, in either delivery order, in one round or
+    in two."""
+    chain, ctx, [strong], [weak] = _fork_setup()
+    trust_params = TrustParams(
+        forgetting=0.9, severity=1.0, cred_threshold=0.8, initial_trust=0.5,
+        blacklist_threshold=0.2, interval_len=50,
+    )
+    members = ctx.members_at(1)
+    for order in ([weak, strong], [strong, weak]):
+        for rounds in ([order], [[b] for b in order]):
+            runtime = RuntimeContext(
+                seed=1,
+                trust_params=trust_params,
+                validation_context=ctx,
+                index_of={m: i for i, m in enumerate(members)},
+                host_ids=[],
+                host_pmal={},
+                challenge_prob=0.0,
+                challenge_priorities="uniform",
+            )
+            node = Node(runtime, 0, key_of("fork-observer"), Behavior(), [])
+            for delivered in rounds:
+                node._ingest_blocks(delivered)
+            scores = {b: node._received[hash_block(b)].score for b in (strong, weak)}
+            assert scores[strong] > scores[weak] > 0.0
+            assert node.replica.tip == strong
 
 
 def test_chain_average_credibility_fills_unreported_members():

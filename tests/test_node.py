@@ -14,7 +14,15 @@ from cidnsim import consensus as consensus_module
 from cidnsim import node as node_module
 from cidnsim.chain import Chain, build_transaction, hash_block, make_block
 from cidnsim.config import config_from_dict
-from cidnsim.consensus import ConsensusParams, Reason, ValidationContext, propose, resolve
+from cidnsim.consensus import (
+    ConsensusParams,
+    Reason,
+    ValidationContext,
+    chain_average_credibility,
+    compute_stake,
+    leader_trust_values,
+    propose,
+)
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.netsim import KIND_BLOCK, Message
 from cidnsim.node import (
@@ -52,9 +60,7 @@ def make_node(behavior: Behavior, n_nodes: int = 2, know_prob: float = 1.0) -> N
     ctx = RuntimeContext(
         seed=1,
         trust_params=TP,
-        consensus_params=CP,
-        registry=registry,
-        members_at=lambda rnd: ids,
+        validation_context=ValidationContext(CP, registry, TP.initial_trust, lambda rnd: ids),
         index_of={nid: i for i, nid in enumerate(ids)},
         host_ids=["10.9.0.1"],
         host_pmal={"10.9.0.1": 0.0},
@@ -216,15 +222,32 @@ def test_malicious_host_gets_blacklisted_and_benign_does_not():
 
 def test_replica_tip_matches_fork_choice_oracle():
     """The incremental fork choice inside Node must agree with a from-scratch
-    resolve() over the same block tree."""
+    recomputation over the same block tree: each leaf scores the sum, from
+    genesis, of its blocks' leader stake x average credibility on their
+    parent chains; the best leaf has the highest score, ties toward the
+    smallest hash."""
     sim = Simulation(small_config())
     sim.run()
     node = sim.nodes[0]
-    base = Chain.genesis()
-    forks = [node._received[leaf].chain.blocks[1:] for leaf in node._leaves]
-    winner = resolve(base, forks, node.ctx.validation_context)
-    expected_tip = winner[-1] if winner else base.tip
-    assert node.replica.tip.header.block_id == expected_tip.header.block_id
+    vctx = node.ctx.validation_context
+
+    def score(chain: Chain) -> float:
+        total, parent = 0.0, Chain.genesis()
+        for b in chain.blocks[1:]:
+            leader = b.header.leader_id
+            stake = compute_stake(leader_trust_values(parent, leader, b.transactions))
+            members = vctx.members_at(b.header.gen_time)
+            total += stake * chain_average_credibility(
+                parent, leader, members, vctx.initial_trust
+            )
+            parent = parent.extended(b)
+        return total
+
+    leaves = [node._received[leaf].chain for leaf in node._leaves]
+    for leaf in leaves:
+        assert node._received[leaf.tip_hash].rank == (-score(leaf), leaf.tip_hash)
+    best = min(leaves, key=lambda c: (-score(c), c.tip_hash))
+    assert node.replica.tip_hash == best.tip_hash
 
 
 class ScoredStore:
@@ -236,7 +259,7 @@ class ScoredStore:
 
     def admit(self, b, parent, ctx):
         h = hash_block(b)
-        return StoredBlock(True, Reason.OK, SimpleNamespace(tip_hash=h), self.scores[h])
+        return StoredBlock(True, Reason.OK, SimpleNamespace(tip_hash=h), self.scores[h], h)
 
 
 @st.composite

@@ -17,10 +17,10 @@ from cidnsim.trust import (
     combine_trust,
     compute_credibility,
     compute_weights,
+    is_blacklisted,
     measure_instantaneous_trust,
     satisfaction,
     update_accumulated_trust,
-    update_blacklist,
     update_satisfaction,
     update_unsure,
 )
@@ -187,19 +187,18 @@ def test_instantaneous_trust_rejects_bad_counts():
         measure_instantaneous_trust(-1, 3)
 
 
-def test_accumulated_trust_moves_toward_observation_and_resets_counters():
-    state = HostTrustState(tr_ids=0.5, normal_count=10, packet_count=50)
+def test_accumulated_trust_moves_toward_observation():
+    state = HostTrustState(tr_ids=0.5)
     updated = update_accumulated_trust(state, 0.9, P)
     assert 0.5 < updated.tr_ids < 0.9
-    assert updated.normal_count == 0 and updated.packet_count == 0
     assert updated.tr_ids == pytest.approx(0.1 * 0.9 + 0.9 * 0.5)
 
 
 def test_blacklist_threshold_is_inclusive():
     at = HostTrustState(tr_ids=P.blacklist_threshold)
     above = HostTrustState(tr_ids=P.blacklist_threshold + 1e-9)
-    assert update_blacklist(at, P).blacklisted
-    assert not update_blacklist(above, P).blacklisted
+    assert is_blacklisted(at, P)
+    assert not is_blacklisted(above, P)
 
 
 # -- network aggregation ----------------------------------------------------
