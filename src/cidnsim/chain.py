@@ -12,9 +12,9 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
-from .encoding import Reader, enc_bytes, enc_int, enc_list, enc_real, enc_str
+from .encoding import enc_bytes, enc_int, enc_list, enc_real, enc_str
 from .keys import KeyPair, KeyRegistry, verify
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "Block",
     "Chain",
     "ChainError",
+    "block_id",
     "build_transaction",
     "verify_transaction",
     "hash_block",
@@ -104,14 +105,6 @@ class EvidenceRecord:
             + enc_int(self.packet_count)
         )
 
-    @staticmethod
-    def decode(r: Reader) -> "EvidenceRecord":
-        host = r.read_str()
-        digests = tuple(r.read_list(lambda rr: rr.read_fixed(HASH_LEN)))
-        k = r.read_int()
-        n = r.read_int()
-        return EvidenceRecord(host, digests, k, n)
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -143,18 +136,6 @@ class Transaction:
     @_memoized
     def encode(self) -> bytes:
         return self.signed_bytes() + enc_bytes(self.signature)
-
-    @staticmethod
-    def decode(r: Reader) -> "Transaction":
-        tx_id = r.read_fixed(HASH_LEN)
-        ids_id = r.read_str()
-        peers = tuple(r.read_list(Reader.read_str))
-        creds = tuple(r.read_list(Reader.read_real))
-        hosts = tuple(r.read_list(Reader.read_str))
-        trusts = tuple(r.read_list(Reader.read_real))
-        evidence = tuple(r.read_list(EvidenceRecord.decode))
-        sig = r.read_bytes()
-        return Transaction(tx_id, ids_id, peers, creds, hosts, trusts, evidence, sig)
 
 
 def build_transaction(
@@ -233,16 +214,6 @@ class BlockHeader:
             + enc_real(self.target_v)
         )
 
-    @staticmethod
-    def decode(r: Reader) -> "BlockHeader":
-        block_id = r.read_fixed(HASH_LEN)
-        leader = r.read_str()
-        gen_time = r.read_int()
-        prev = r.read_fixed(HASH_LEN)
-        ctr = r.read_int()
-        target = r.read_real()
-        return BlockHeader(block_id, leader, gen_time, prev, ctr, target)
-
 
 @dataclass(frozen=True)
 class Block:
@@ -260,31 +231,10 @@ class Block:
     def encode(self) -> bytes:
         return self.signed_bytes() + enc_bytes(self.leader_signature)
 
-    @staticmethod
-    def decode(r: Reader) -> "Block":
-        header = BlockHeader.decode(r)
-        txs = tuple(r.read_list(Transaction.decode))
-        sig = r.read_bytes()
-        return Block(header, txs, sig)
 
-    @staticmethod
-    def decode_bytes(data: bytes) -> "Block":
-        r = Reader(data)
-        b = Block.decode(r)
-        r.expect_end()
-        return b
-
-
-def compute_block_id(
-    leader_id: str,
-    gen_time: int,
-    prev_hash: bytes,
-    ctr: int,
-    target_v: float,
-    transactions: Sequence[Transaction],
-) -> bytes:
-    header = BlockHeader(ZERO_HASH, leader_id, gen_time, prev_hash, ctr, target_v)
-    payload = enc_list(transactions, Transaction.encode)
+def block_id(header: BlockHeader, payload: bytes) -> bytes:
+    """The id of a block: SHA-256 over its header without the id and its
+    encoded payload."""
     return _sha256(header.encode_without_id() + payload)
 
 
@@ -304,10 +254,7 @@ def make_block(
     # the payload is encoded once: it fixes the id, is signed, and is kept
     # on the returned block
     payload = unsigned.payload_bytes()
-    header = replace(
-        unsigned.header,
-        block_id=_sha256(unsigned.header.encode_without_id() + payload),
-    )
+    header = replace(unsigned.header, block_id=block_id(unsigned.header, payload))
     signature = key.sign(header.encode() + payload)
     return _with_memo(Block(header, txs, signature), payload_bytes=payload)
 
@@ -320,9 +267,9 @@ def hash_block(b: Block) -> bytes:
 
 
 def genesis_block() -> Block:
-    block_id = compute_block_id("", 0, ZERO_HASH, 0, 0.0, ())
-    header = BlockHeader(block_id, "", 0, ZERO_HASH, 0, 0.0)
-    return Block(header, (), b"")
+    header = BlockHeader(ZERO_HASH, "", 0, ZERO_HASH, 0, 0.0)
+    empty = enc_list((), Transaction.encode)
+    return Block(replace(header, block_id=block_id(header, empty)), (), b"")
 
 
 class Chain:
@@ -544,7 +491,10 @@ def import_chain(path: str) -> tuple[list[Block], KeyRegistry]:
             line = line.strip()
             if not line:
                 continue
-            d = _object(json.loads(line), "line")
+            try:
+                d = _object(json.loads(line), "line")
+            except RecursionError as e:
+                raise ChainError("line nested too deeply") from e
             if d.get("type") == "registry":
                 for pub_hex in _object(d["keys"], "registry keys").values():
                     registry.register(_hex(pub_hex, "registry key"))

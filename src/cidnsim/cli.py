@@ -14,7 +14,7 @@ import sys
 
 from .chain import Chain, genesis_block, hash_block, import_chain
 from .config import ConfigError, SimConfig, load_config
-from .consensus import ValidationContext, validate_block
+from .consensus import validate_block
 from .simulation import Simulation, membership
 from . import chain as chain_mod
 
@@ -126,18 +126,12 @@ def verify_chain(chain_path: str, config: SimConfig) -> tuple[bool, dict]:
     blocks, exported = import_chain(chain_path)
     if not blocks:
         return False, {"error": "empty export"}
-    _, registry, members_at = membership(config)
-    if exported.as_dict() != registry.as_dict():
+    _, ctx = membership(config)
+    if exported.as_dict() != ctx.registry.as_dict():
         return False, {"error": "registry differs from the configured membership"}
     if blocks[0].encode() != genesis_block().encode():
         return False, {"block": 0, "reason": "bad-genesis"}
 
-    ctx = ValidationContext(
-        params=config.consensus,
-        registry=registry,
-        initial_trust=config.trust.initial_trust,
-        members_at=members_at,
-    )
     chain = Chain.genesis()
     for i, b in enumerate(blocks[1:], start=1):
         ok, reason, _ = validate_block(b, chain, ctx)

@@ -306,9 +306,11 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal beyond the interpreter's digit limit
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from e
     return config_from_dict(data)

@@ -20,6 +20,7 @@ from .chain import (
     Block,
     Chain,
     Transaction,
+    block_id,
     make_block,
     verify_transaction,
 )
@@ -324,7 +325,7 @@ def validate_block(
         return False, Reason.LINKAGE, 0.0
     if h.gen_time <= parent.tip.header.gen_time:
         return False, Reason.GEN_TIME, 0.0
-    if h.block_id != hashlib.sha256(h.encode_without_id() + b.payload_bytes()).digest():
+    if h.block_id != block_id(h, b.payload_bytes()):
         return False, Reason.BLOCK_ID, 0.0
     leader_key = ctx.registry.get(h.leader_id)
     members = ctx.members_at(h.gen_time)

@@ -97,14 +97,5 @@ class KeyRegistry:
     def get(self, node_id: str) -> bytes | None:
         return self._keys.get(node_id)
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def ids(self) -> list[str]:
-        return sorted(self._keys)
-
     def as_dict(self) -> dict[str, bytes]:
         return dict(self._keys)

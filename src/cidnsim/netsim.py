@@ -103,9 +103,6 @@ class Network:
             out.setdefault(m.receiver, []).append(m)
         return out
 
-    def pending_count(self) -> int:
-        return len(self._pending)
-
 
 def host_traffic(
     p_mal: float,

@@ -39,11 +39,10 @@ def key_for(rng_seed: int, index: int) -> KeyPair:
     return KeyPair.from_seed(material)
 
 
-def membership(
-    config: SimConfig,
-) -> tuple[list[KeyPair], KeyRegistry, Callable[[int], list[str]]]:
-    """The membership a config defines: one key per node, their registry,
-    and the identities active at a round (each joins at its spawn round)."""
+def membership(config: SimConfig) -> tuple[list[KeyPair], ValidationContext]:
+    """The membership a config defines: one key per node, and the run's
+    validation inputs, whose registry holds those keys and whose members at
+    a round are the nodes spawned by then."""
     keys = [key_for(config.rng_seed, i) for i in range(len(config.nodes))]
     registry = KeyRegistry()
     for k in keys:
@@ -54,7 +53,12 @@ def membership(
     def members_at(rnd: int) -> list[str]:
         return [ids[i] for i in range(len(ids)) if spawn[i] <= rnd]
 
-    return keys, registry, members_at
+    return keys, ValidationContext(
+        params=config.consensus,
+        registry=registry,
+        initial_trust=config.trust.initial_trust,
+        members_at=members_at,
+    )
 
 
 @dataclass
@@ -73,7 +77,7 @@ class ScenarioResult:
 class Simulation:
     def __init__(self, config: SimConfig):
         self.config = config
-        self.keys, self.registry, members_at = membership(config)
+        self.keys, validation_context = membership(config)
         self.host_ids = [host_id_for(i) for i in range(len(config.hosts))]
         host_pmal = {
             self.host_ids[i]: config.hosts[i].p_mal for i in range(len(config.hosts))
@@ -88,12 +92,7 @@ class Simulation:
         self.ctx = RuntimeContext(
             seed=config.rng_seed,
             trust_params=config.trust,
-            validation_context=ValidationContext(
-                params=config.consensus,
-                registry=self.registry,
-                initial_trust=config.trust.initial_trust,
-                members_at=members_at,
-            ),
+            validation_context=validation_context,
             index_of={nid: i for i, nid in enumerate(ids)},
             host_ids=self.host_ids,
             host_pmal=host_pmal,
@@ -174,7 +173,7 @@ class Simulation:
 
         reference = self.honest_nodes() or self.nodes
         result.chain = reference[0].replica
-        result.registry = self.registry
+        result.registry = self.ctx.validation_context.registry
         for n in self.nodes:
             rounds_active = max(1, cfg.rounds - n.behavior.spawn_round)
             result.node_summaries[n.node_id] = {

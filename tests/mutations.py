@@ -4,7 +4,7 @@ the large duality fuzz in the acceptance gate."""
 
 import dataclasses
 
-from cidnsim.chain import Block, build_transaction, compute_block_id
+from cidnsim.chain import Block, block_id, build_transaction
 from cidnsim.consensus import Reason
 
 MUTATION_CLASSES = [
@@ -25,20 +25,13 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
     deeper check (not the id check) is the one that fires."""
     h = block.header
 
-    def reheader(**changes):
+    def reheader(transactions=block.transactions, **changes):
+        body = dataclasses.replace(block, transactions=transactions)
         header = dataclasses.replace(h, **changes)
         header = dataclasses.replace(
-            header,
-            block_id=compute_block_id(
-                header.leader_id,
-                header.gen_time,
-                header.prev_hash,
-                header.ctr,
-                header.target_v,
-                block.transactions,
-            ),
+            header, block_id=block_id(header, body.payload_bytes())
         )
-        return dataclasses.replace(block, header=header)
+        return dataclasses.replace(body, header=header)
 
     if how == "prev_hash":
         return dataclasses.replace(
@@ -55,25 +48,13 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
         return reheader(leader_id="f" * 64)
     if how == "tx_order":
         tx2 = build_transaction(other_key, {}, {"h0": 0.9})
-        txs = tuple(
-            sorted(block.transactions + (tx2,), key=lambda t: t.ids_id, reverse=True)
-        )
-        bid = compute_block_id(
-            h.leader_id, h.gen_time, h.prev_hash, h.ctr, h.target_v, txs
-        )
-        return dataclasses.replace(
-            block, header=dataclasses.replace(h, block_id=bid), transactions=txs
+        return reheader(
+            tuple(sorted(block.transactions + (tx2,), key=lambda t: t.ids_id, reverse=True))
         )
     if how == "tx_invalid":
         good = block.transactions[0]
         bad = dataclasses.replace(good, trust_list=(2.0,) * max(1, len(good.trust_list)))
-        txs = (bad,) + block.transactions[1:]
-        bid = compute_block_id(
-            h.leader_id, h.gen_time, h.prev_hash, h.ctr, h.target_v, txs
-        )
-        return dataclasses.replace(
-            block, header=dataclasses.replace(h, block_id=bid), transactions=txs
-        )
+        return reheader((bad,) + block.transactions[1:])
     if how == "target_v":
         return reheader(target_v=0.123)
     if how == "ctr":

@@ -1,6 +1,8 @@
 """Transactions, blocks, chain state, and the JSONL export."""
 
+import dataclasses
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,17 @@ from hypothesis import strategies as st
 from cidnsim import chain as chain_module
 from cidnsim import keys
 from cidnsim.chain import (
+    ZERO_HASH,
     Block,
+    BlockHeader,
     Chain,
     ChainError,
     EvidenceRecord,
     Transaction,
+    block_from_dict,
+    block_id,
+    block_to_dict,
     build_transaction,
-    compute_block_id,
     export_chain,
     genesis_block,
     hash_block,
@@ -59,14 +65,10 @@ def test_transaction_round_trip_and_verify(registry_and_keys):
     assert tx.host_list == ("10.0.0.1", "10.0.0.2")
     assert tx.cred_list == (0.6, 0.8)
     assert tx.evidence_list[0] == ev
-    decoded = Transaction.decode(_reader(tx.encode()))
-    assert decoded == tx
-
-
-def _reader(data):
-    from cidnsim.encoding import Reader
-
-    return Reader(data)
+    # a transaction is read back only from the JSON export of a block
+    carrier = make_block(keys[0], 1, ZERO_HASH, 1, 0.5, [tx])
+    (read_back,) = block_from_dict(block_to_dict(carrier)).transactions
+    assert read_back == tx and read_back.encode() == tx.encode()
 
 
 def test_transaction_unknown_signer_rejected(registry_and_keys):
@@ -91,21 +93,81 @@ def test_transaction_out_of_range_score_rejected(registry_and_keys):
     assert not verify_transaction(bad, reg)
 
 
-@settings(max_examples=60, deadline=None)
+def _flip_bit(data, raw: bytes) -> bytes:
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+    return (int.from_bytes(raw, "big") ^ (1 << bit)).to_bytes(len(raw), "big")
+
+
+def _flip_real_bit(data, x: float) -> float:
+    """One bit of the IEEE-754 pattern flipped (the result may be a NaN)."""
+    return struct.unpack(">d", _flip_bit(data, struct.pack(">d", x)))[0]
+
+
+def _change_char(data, s: str) -> str:
+    i = data.draw(st.integers(0, len(s) - 1))
+    c = data.draw(st.characters(exclude_categories=("Cs",)).filter(lambda c: c != s[i]))
+    return s[:i] + c + s[i + 1 :]
+
+
+def _change_entry(change):
+    def changed(data, items: tuple) -> tuple:
+        i = data.draw(st.integers(0, len(items) - 1))
+        return items[:i] + (change(data, items[i]),) + items[i + 1 :]
+
+    return changed
+
+
+def _change_count(data, n: int) -> int:
+    return data.draw(st.integers(-(2**63), 2**63 - 1).filter(lambda m: m != n))
+
+
+def _change_evidence(data, e: EvidenceRecord) -> EvidenceRecord:
+    """One field of the record changed; its own check may refuse the result
+    with a ValueError."""
+    name, change = data.draw(st.sampled_from(sorted(_EVIDENCE_CHANGES.items())))
+    return dataclasses.replace(e, **{name: change(data, getattr(e, name))})
+
+
+_EVIDENCE_CHANGES = {
+    "host": _change_char,
+    "alert_digests": _change_entry(_flip_bit),
+    "normal_count": _change_count,
+    "packet_count": _change_count,
+}
+_TRANSACTION_CHANGES = {
+    "tx_id": _flip_bit,
+    "ids_id": _change_char,
+    "peer_list": _change_entry(_change_char),
+    "cred_list": _change_entry(_flip_real_bit),
+    "host_list": _change_entry(_change_char),
+    "trust_list": _change_entry(_flip_real_bit),
+    "evidence_list": _change_entry(_change_evidence),
+    "signature": _flip_bit,
+}
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_any_single_byte_flip_invalidates_transaction(data):
+def test_any_single_field_change_invalidates_transaction(data):
+    """Every field of a transaction is covered by its id or its signature:
+    one changed bit, character, count or digest anywhere is rejected."""
     key = key_of("flip-test")
     reg = KeyRegistry()
     reg.register(key.public_bytes)
-    tx = build_transaction(key, {"p": 0.7}, {"10.0.0.9": 0.4})
-    encoded = bytearray(tx.encode())
-    pos = data.draw(st.integers(0, len(encoded) - 1))
-    bit = data.draw(st.integers(0, 7))
-    encoded[pos] ^= 1 << bit
+    evidence = {
+        h: EvidenceRecord(h, (hashlib.sha256(h.encode()).digest(),), 3, 5)
+        for h in ("10.0.0.8", "10.0.0.9")
+    }
+    tx = build_transaction(
+        key, {"peerA": 0.7, "peerB": 0.2}, {"10.0.0.8": 0.9, "10.0.0.9": 0.4}, evidence
+    )
+    assert verify_transaction(tx, reg)
+    name, change = data.draw(st.sampled_from(sorted(_TRANSACTION_CHANGES.items())))
     try:
-        mutated = Transaction.decode(_reader(bytes(encoded)))
-    except (ValueError, UnicodeDecodeError, MemoryError):
-        return  # structural damage caught at decode time
+        mutated = dataclasses.replace(tx, **{name: change(data, getattr(tx, name))})
+    except ValueError:
+        return  # an evidence record's own check refused the change
+    assert mutated.encode() != tx.encode()
     assert not verify_transaction(mutated, reg)
 
 
@@ -141,14 +203,15 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
     b.payload_bytes()
     assert len(calls) == 1
     monkeypatch.undo()
-    assert b.header.block_id == compute_block_id(keys_[0].node_id, 3, prev, 7, 0.5, b.transactions)
+    assert b.header.block_id == block_id(b.header, b.payload_bytes())
 
 
 def test_block_round_trip(registry_and_keys):
     _, keys = registry_and_keys
     txs = [build_transaction(k, {}, {"10.0.0.1": 0.5}) for k in keys]
     b = make_block(keys[0], 5, Chain.genesis().tip_hash, 3, 0.25, txs)
-    assert Block.decode_bytes(b.encode()) == b
+    copy = block_from_dict(block_to_dict(b))
+    assert copy == b and copy.encode() == b.encode()
     # payload sorted by signer id regardless of input order
     assert [t.ids_id for t in b.transactions] == sorted(t.ids_id for t in txs)
 
@@ -156,18 +219,20 @@ def test_block_round_trip(registry_and_keys):
 def test_block_id_depends_on_every_field(registry_and_keys):
     _, keys = registry_and_keys
     tx = build_transaction(keys[0], {}, {"10.0.0.1": 0.5})
-    base = ("leader", 7, b"\x01" * 32, 9, 0.5, (tx,))
-    reference = compute_block_id(*base)
-    variants = [
-        ("other", 7, b"\x01" * 32, 9, 0.5, (tx,)),
-        ("leader", 8, b"\x01" * 32, 9, 0.5, (tx,)),
-        ("leader", 7, b"\x02" * 32, 9, 0.5, (tx,)),
-        ("leader", 7, b"\x01" * 32, 10, 0.5, (tx,)),
-        ("leader", 7, b"\x01" * 32, 9, 0.75, (tx,)),
-        ("leader", 7, b"\x01" * 32, 9, 0.5, ()),
-    ]
-    for v in variants:
-        assert compute_block_id(*v) != reference
+    header = BlockHeader(ZERO_HASH, "leader", 7, b"\x01" * 32, 9, 0.5)
+    payload = Block(header, (tx,), b"").payload_bytes()
+    reference = block_id(header, payload)
+    for change in [
+        {"leader_id": "other"},
+        {"gen_time": 8},
+        {"prev_hash": b"\x02" * 32},
+        {"ctr": 10},
+        {"target_v": 0.75},
+    ]:
+        assert block_id(dataclasses.replace(header, **change), payload) != reference
+    assert block_id(header, Block(header, (), b"").payload_bytes()) != reference
+    # the id does not cover itself, so a header carrying it hashes the same
+    assert block_id(dataclasses.replace(header, block_id=reference), payload) == reference
 
 
 # -- chain state ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: run / verify / report, exit codes, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -20,7 +21,7 @@ from cidnsim.chain import (
 )
 from cidnsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from cidnsim.config import load_config
-from cidnsim.consensus import Reason, ValidationContext, propose, validate_block
+from cidnsim.consensus import Reason, propose, validate_block
 from cidnsim.experiments import spearman_rho
 from cidnsim.keys import KeyPair
 from cidnsim.simulation import membership
@@ -156,7 +157,8 @@ def block_line(header=(), tx=(), **fields):
      pytest.param(block_line(tx={"cred_list": [[1]]}), id="cred_list-entry-array"),
      pytest.param(block_line(header={"gen_time": 2**64}), id="gen_time-beyond-64-bits"),
      pytest.param(block_line(header={"ctr": True}), id="ctr-bool"),
-     pytest.param('{"type": "registry", "keys": {"n": 5}}', id="registry-key-number")],
+     pytest.param('{"type": "registry", "keys": {"n": 5}}', id="registry-key-number"),
+     pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deeply")],
 )
 def test_verify_rejects_a_malformed_line_with_exit_3(tiny_config, tmp_path, capsys, line):
     config, _ = tiny_config
@@ -189,12 +191,9 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
 
     outsider = KeyPair.from_seed(hashlib.sha256(b"outsider").digest())
     registry.register(outsider.public_bytes)
-    cfg = load_config(str(config))
-    widened = ValidationContext(
-        params=cfg.consensus,
-        registry=registry,
-        initial_trust=cfg.trust.initial_trust,
-        members_at=lambda rnd: registry.ids(),
+    _, configured = membership(load_config(str(config)))
+    widened = dataclasses.replace(
+        configured, registry=registry, members_at=lambda rnd: sorted(registry.as_dict())
     )
     gen_time = chain.tip.header.gen_time + 1
     for salt in range(200):
@@ -220,11 +219,9 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
     path, d = tiny_config
     d["nodes"].append({"behavior": {"kind": "sybil", "spawn_round": 10}})
     path.write_text(json.dumps(d))
-    cfg = load_config(str(path))
-    keys_, registry, members_at = membership(cfg)
+    keys_, ctx = membership(load_config(str(path)))
     leader, late = keys_[0], keys_[-1]
-    assert late.node_id not in members_at(1)
-    ctx = ValidationContext(cfg.consensus, registry, cfg.trust.initial_trust, members_at)
+    assert late.node_id not in ctx.members_at(1)
     chain = Chain.genesis()
     early = build_transaction(late, {}, {"10.0.0.1": 0.1})
     for salt in range(200):
@@ -236,7 +233,7 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
         raise AssertionError("setup: the leader never won the lottery")
 
     chain_path = tmp_path / "chain.jsonl"
-    export_chain(chain.extended(forged), registry, str(chain_path))
+    export_chain(chain.extended(forged), ctx.registry, str(chain_path))
     capsys.readouterr()
     assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
     assert '"reason": "tx-invalid"' in capsys.readouterr().out

@@ -102,11 +102,29 @@ def test_bundled_scenarios_parse():
         assert config.rounds > 0
 
 
-def test_invalid_json_raises_config_error(tmp_path):
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-too-deeply"),
+        pytest.param(b"\xff\xfe", id="not-utf-8"),
+        pytest.param(b'{"rounds": ' + b"1" * 5000 + b"}", id="integer-beyond-digit-limit"),
+    ],
+)
+def test_invalid_json_raises_config_error(tmp_path, capsys, raw):
+    """A config file the JSON parser cannot take exits 1 with a message
+    from both ``run`` and ``verify``, never with a traceback."""
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
+    p.write_bytes(raw)
     with pytest.raises(ConfigError):
         load_config(str(p))
+    capsys.readouterr()
+    for args in (
+        ["run", "--config", str(p), "--out", str(tmp_path / "out")],
+        ["verify", "--chain", str(tmp_path / "chain.jsonl"), "--config", str(p)],
+    ):
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize(

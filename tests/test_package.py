@@ -1,7 +1,8 @@
-"""Package-level checks: the public names of every module, and the runnable
-scripts under ``scripts/``."""
+"""Package-level checks: the public names of every module, the runnable
+scripts under ``scripts/``, and what ``run`` and ``verify`` import."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -41,3 +42,27 @@ def test_script_runs_to_completion(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_run_and_verify_load_no_report_only_modules(tmp_path):
+    """``run`` and ``verify`` import neither ``cidnsim.experiments``, which
+    only ``report`` needs, nor scipy or numpy: each import is start-up time
+    that every run would pay."""
+    scenario = json.loads((ROOT / "scenarios" / "baseline_honest.json").read_text())
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({**scenario, "rounds": 5}))
+    out = tmp_path / "out"
+    code = "\n".join([
+        "import sys",
+        "from cidnsim.cli import main",
+        f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0",
+        f"assert main(['verify', '--chain', {str(out / 'chain.jsonl')!r},"
+        f" '--config', {str(config)!r}]) == 0",
+        "print([m for m in ('cidnsim.experiments', 'scipy', 'numpy') if m in sys.modules])",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
