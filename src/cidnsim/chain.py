@@ -273,42 +273,71 @@ def genesis_block() -> Block:
 
 
 class Chain:
-    """Append-only block sequence with cached latest-per-observer state.
+    """One node of the block tree: the block ``tip``, the ``parent`` chain it
+    extends, and the state the path from genesis derives.
 
     The derived state (each node's most recent credibility and trust lists,
-    and the round of its last led block) is a pure function of the block
-    sequence; ``extended`` recomputes it incrementally.
+    the round of its last led block, and the fork-choice ``score``) is a pure
+    function of that path; ``extended`` computes it from the parent's.  The
+    block sequence is not held: ``blocks`` walks the parents.
     """
+
+    __slots__ = (
+        "tip", "parent", "height", "latest_cred", "latest_trust",
+        "last_led_round", "score",
+    )
 
     def __init__(
         self,
-        blocks: list[Block],
+        tip: Block,
+        parent: "Chain | None",
         latest_cred: dict[str, dict[str, float]],
         latest_trust: dict[str, dict[str, float]],
         last_led_round: dict[str, int],
+        score: float,
     ):
-        self.blocks = blocks
+        self.tip = tip
+        self.parent = parent
+        self.height = 0 if parent is None else parent.height + 1
         self.latest_cred = latest_cred
         self.latest_trust = latest_trust
         self.last_led_round = last_led_round
+        self.score = score
 
     @staticmethod
     def genesis() -> "Chain":
-        return Chain([genesis_block()], {}, {}, {})
-
-    @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
+        return Chain(genesis_block(), None, {}, {}, {}, 0.0)
 
     @property
     def tip_hash(self) -> bytes:
         return hash_block(self.tip)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
+    @property
+    def rank(self) -> tuple[float, bytes]:
+        """Fork-choice order, smallest first: the highest accumulated stake x
+        credibility, ties toward the smallest tip hash."""
+        return (-self.score, self.tip_hash)
 
-    def extended(self, b: Block) -> "Chain":
-        """Return a new chain with ``b`` appended.
+    @property
+    def blocks(self) -> list[Block]:
+        """The block sequence from genesis to the tip."""
+        out = []
+        chain: Chain | None = self
+        while chain is not None:
+            out.append(chain.tip)
+            chain = chain.parent
+        return out[::-1]
+
+    def ancestor(self, height: int) -> "Chain":
+        """The chain this one extends whose tip is at ``height``."""
+        chain = self
+        while chain.height > height:
+            chain = chain.parent
+        return chain
+
+    def extended(self, b: Block, weight: float) -> "Chain":
+        """Return the chain with ``b`` appended, scored ``weight`` above this
+        one (the fork-choice weight ``validate_block`` returned for ``b``).
 
         Consensus-level validity is the caller's business; this only checks
         linkage.  Linkage also rules out a duplicate: a block already in the
@@ -317,13 +346,17 @@ class Chain:
         """
         if b.header.prev_hash != self.tip_hash:
             raise ChainError("prev_hash does not match the chain tip")
-        # _apply_block replaces an observer's lists and never edits them, so
-        # the per-observer dicts can be shared with the parent chain
+        # an observer's lists are replaced, never edited, so the per-observer
+        # dicts can be shared with the parent chain
         latest_cred = dict(self.latest_cred)
         latest_trust = dict(self.latest_trust)
         last_led = dict(self.last_led_round)
-        _apply_block(b, latest_cred, latest_trust, last_led)
-        return Chain(self.blocks + [b], latest_cred, latest_trust, last_led)
+        for tx in b.transactions:
+            latest_cred[tx.ids_id] = dict(zip(tx.peer_list, tx.cred_list))
+            latest_trust[tx.ids_id] = dict(zip(tx.host_list, tx.trust_list))
+        if b.header.leader_id:
+            last_led[b.header.leader_id] = b.header.gen_time
+        return Chain(b, self, latest_cred, latest_trust, last_led, self.score + weight)
 
     def chain_state_credibility(self, target: str) -> dict[str, float]:
         """Each observer's most recent on-chain credibility of ``target``."""
@@ -332,32 +365,6 @@ class Chain:
             if observer != target and target in creds:
                 out[observer] = creds[target]
         return out
-
-    def replay_check(self) -> bool:
-        """Derived state equals a from-genesis brute-force replay."""
-        cred: dict[str, dict[str, float]] = {}
-        trust: dict[str, dict[str, float]] = {}
-        led: dict[str, int] = {}
-        for b in self.blocks[1:]:
-            _apply_block(b, cred, trust, led)
-        return (
-            cred == self.latest_cred
-            and trust == self.latest_trust
-            and led == self.last_led_round
-        )
-
-
-def _apply_block(
-    b: Block,
-    latest_cred: dict[str, dict[str, float]],
-    latest_trust: dict[str, dict[str, float]],
-    last_led: dict[str, int],
-) -> None:
-    for tx in b.transactions:
-        latest_cred[tx.ids_id] = dict(zip(tx.peer_list, tx.cred_list))
-        latest_trust[tx.ids_id] = dict(zip(tx.host_list, tx.trust_list))
-    if b.header.leader_id:
-        last_led[b.header.leader_id] = b.header.gen_time
 
 
 # ---------------------------------------------------------------------------

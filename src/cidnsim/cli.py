@@ -63,7 +63,7 @@ def _run_one(config: SimConfig, out_dir: str, verbose: bool) -> dict:
 
     summary = {
         "rounds": len(result.rounds),
-        "chain_height": len(result.chain) - 1,
+        "chain_height": result.chain.height,
         "leader_counts": result.leader_counts,
         "node_summaries": result.node_summaries,
         "chain_path": chain_path,
@@ -134,10 +134,10 @@ def verify_chain(chain_path: str, config: SimConfig) -> tuple[bool, dict]:
 
     chain = Chain.genesis()
     for i, b in enumerate(blocks[1:], start=1):
-        ok, reason, _ = validate_block(b, chain, ctx)
+        ok, reason, weight = validate_block(b, chain, ctx)
         if not ok:
             return False, {"block": i, "reason": reason}
-        chain = chain.extended(b)
+        chain = chain.extended(b, weight)
     return True, {
         "blocks": len(blocks),
         "tip": hash_block(blocks[-1]).hex(),
@@ -168,30 +168,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    metrics_path = os.path.join(args.dir, "metrics.csv")
-    result_path = os.path.join(args.dir, "result.json")
-    missing = [p for p in (metrics_path, result_path) if not os.path.exists(p)]
-    if missing:
-        for p in missing:
-            print(f"missing file: {p}", file=sys.stderr)
-        return EXIT_IO
-
-    with open(metrics_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    with open(result_path, encoding="utf-8") as fh:
-        summary = json.load(fh)
-
-    print("== final round ==")
+def _report_lines(rows: list[dict], summary: dict) -> list[str]:
+    lines = ["== final round =="]
     if rows:
         last = rows[-1]
-        for col in BASE_COLUMNS:
-            print(f"  {col}: {last.get(col, '')}")
-        for col in sorted(last):
-            if col.startswith("mean_cred_"):
-                print(f"  {col}: {last[col]}")
+        lines += [f"  {col}: {last.get(col, '')}" for col in BASE_COLUMNS]
+        lines += [f"  {c}: {last[c]}" for c in sorted(last) if c.startswith("mean_cred_")]
     else:
-        print("  (no rounds)")
+        lines.append("  (no rounds)")
 
     node_summaries = summary.get("node_summaries", {})
     if node_summaries:
@@ -201,17 +185,44 @@ def cmd_report(args: argparse.Namespace) -> int:
         from .experiments import spearman_rho
 
         rho = spearman_rho(blocks, scores)
-        print("== leader election ==")
-        print(f"  nodes: {len(node_summaries)}")
-        print(f"  blocks mined total: {int(sum(blocks))}")
-        print(f"  rank correlation (blocks vs stake x credibility x time): {rho:.3f}")
+        lines += [
+            "== leader election ==",
+            f"  nodes: {len(node_summaries)}",
+            f"  blocks mined total: {int(sum(blocks))}",
+            f"  rank correlation (blocks vs stake x credibility x time): {rho:.3f}",
+        ]
 
     if rows:
         forks = [int(float(r["open_forks"])) for r in rows if r.get("open_forks")]
         invalid = int(float(rows[-1].get("invalid_blocks") or 0))
-        print("== forks ==")
-        print(f"  max open forks: {max(forks) if forks else 0}")
-        print(f"  invalid blocks dropped: {invalid}")
+        lines += [
+            "== forks ==",
+            f"  max open forks: {max(forks) if forks else 0}",
+            f"  invalid blocks dropped: {invalid}",
+        ]
+    return lines
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    metrics_path = os.path.join(args.dir, "metrics.csv")
+    result_path = os.path.join(args.dir, "result.json")
+    missing = [p for p in (metrics_path, result_path) if not os.path.exists(p)]
+    if missing:
+        for p in missing:
+            print(f"missing file: {p}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        with open(metrics_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(result_path, encoding="utf-8") as fh:
+            lines = _report_lines(rows, json.load(fh))
+    except OSError as e:
+        print(f"io error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        print(f"malformed input in {args.dir}: {e!r}", file=sys.stderr)
+        return EXIT_IO
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .chain import build_transaction
+from .chain import Chain, build_transaction
 from .consensus import (
     ConsensusParams,
     ValidationContext,
@@ -33,7 +33,7 @@ from .consensus import (
 from .encoding import enc_int
 from .keys import KeyPair, KeyRegistry
 from .netsim import derived_rng
-from .node import BlockStore, StoredBlock
+from .node import BlockStore
 
 __all__ = [
     "ElectionStats", "leader_election_trial", "ForkContest", "fork_contest",
@@ -217,27 +217,27 @@ def fork_contest(
 
     store = BlockStore()
     for k in keys:
-        block, _ = propose(store.genesis.chain, k, 1, txs, ctx)
+        block, _ = propose(store.genesis, k, 1, txs, ctx)
         if block is not None:
             break
     else:
         return None
-    base = store.admit(block, store.genesis, ctx)
-    assert base.ok, base.reason
+    reason, base = store.admit(block, store.genesis, ctx)
+    assert base is not None, reason
 
-    def grow_fork(leader_pool: list[KeyPair]) -> tuple[StoredBlock, int]:
-        """The fork's tip entry and its length in blocks."""
+    def grow_fork(leader_pool: list[KeyPair]) -> tuple[Chain, int]:
+        """The fork's tip chain and its length in blocks."""
         tip = base
         for step in range(fork_len):
             gen_time = 2 + step
             for k in leader_pool:
-                block, _ = propose(tip.chain, k, gen_time, [], ctx)
+                block, _ = propose(tip, k, gen_time, [], ctx)
                 if block is not None:
                     break
             else:
                 return tip, step
-            tip = store.admit(block, tip, ctx)
-            assert tip.ok, tip.reason
+            reason, tip = store.admit(block, tip, ctx)
+            assert tip is not None, reason
         return tip, fork_len
 
     honest_tip, honest_len = grow_fork(keys[:n_honest])

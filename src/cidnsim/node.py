@@ -9,7 +9,7 @@ local lists changed, and finally attempt to mine.
 
 Fork choice lives here: the block store scores each valid block by the
 weight its validation returns, added to its parent's score, and every
-replica follows the leaf of best ``StoredBlock.rank``.
+replica follows the leaf of best ``Chain.rank``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Sequence
 
 from . import trust
@@ -28,7 +29,7 @@ from .chain import (
     build_transaction,
     hash_block,
 )
-from .consensus import Reason, ValidationContext, propose, validate_block
+from .consensus import ValidationContext, propose, validate_block
 from .encoding import enc_int, enc_str
 from .keys import KeyPair
 from .netsim import (
@@ -55,7 +56,6 @@ from .trust import (
 
 __all__ = [
     "Behavior",
-    "StoredBlock",
     "BlockStore",
     "RuntimeContext",
     "Node",
@@ -106,80 +106,51 @@ class ChallengeResponse:
     answer: float | Any  # priority or UNSURE
 
 
-@dataclass(frozen=True)
-class StoredBlock:
-    """A block's validation outcome and, when valid, the state it derives.
-
-    chain: the parent chain extended by the block (None when invalid).
-    score: cumulative fork-choice weight from genesis to the block.
-    block_hash: ``hash_block`` of the block, the tip hash of ``chain``, held
-    so that ranking hashes nothing.
-    """
-
-    ok: bool
-    reason: str
-    chain: Chain | None = None
-    score: float = 0.0
-    block_hash: bytes = b""
-
-    @property
-    def rank(self) -> tuple[float, bytes]:
-        """Fork-choice order, smallest first: the highest accumulated stake x
-        credibility, ties toward the smallest tip hash."""
-        return (-self.score, self.block_hash)
-
-
 class BlockStore:
-    """Validation results and derived state of every distinct block, shared
+    """Validation results and derived chains of every distinct block, shared
     by all replicas that agree on one ``ValidationContext``.
 
-    Validity, the derived chain and the score are pure functions of the
-    block and its parent, so each block is validated and extended once,
+    Validity and the derived chain (with its score) are pure functions of
+    the block and its parent, so each block is validated and extended once,
     however many replicas receive it.  Entries are keyed on the full block
     identity: ``hash_block`` leaves the leader signature out, and a copy with
     a forged signature must not shadow the genuine block.  The parent is
     named by ``prev_hash``; every parent with that hash derives the same
     state, so one entry serves all of them.
 
-    Each transaction id is indexed to the (height, hash) of the valid blocks
-    that hold it, so whether a chain commits a transaction is a look at those
-    heights of the chain, with no per-block set of everything committed.
+    Each transaction id is indexed to the chains whose tip holds it, so
+    whether a chain commits a transaction is a look at its ancestors at
+    those heights, with no per-block set of everything committed.
     """
 
     def __init__(self) -> None:
-        chain = Chain.genesis()
-        self.genesis = StoredBlock(True, Reason.OK, chain, 0.0, chain.tip_hash)
-        self._entries: dict[tuple[bytes, bytes], StoredBlock] = {}
-        self._holders: dict[bytes, list[tuple[int, bytes]]] = {}
+        self.genesis = Chain.genesis()
+        self._entries: dict[tuple[bytes, bytes], tuple[str, Chain | None]] = {}
+        self._holders: dict[bytes, list[Chain]] = {}
 
     def admit(
-        self, b: Block, parent: StoredBlock, ctx: ValidationContext
-    ) -> StoredBlock:
-        """The entry of ``b`` on ``parent``, validating, extending and scoring
-        only on first sight."""
-        bh = hash_block(b)
-        key = (bh, b.leader_signature)
+        self, b: Block, parent: Chain, ctx: ValidationContext
+    ) -> tuple[str, Chain | None]:
+        """The reason code of ``b`` on ``parent`` and, when valid, the chain
+        it derives; validating and extending only on first sight."""
+        key = (hash_block(b), b.leader_signature)
         entry = self._entries.get(key)
         if entry is None:
-            ok, reason, weight = validate_block(b, parent.chain, ctx)
+            ok, reason, weight = validate_block(b, parent, ctx)
+            chain = None
             if ok:
-                entry = StoredBlock(
-                    ok, reason, parent.chain.extended(b), parent.score + weight, bh
-                )
-                holder = (len(parent.chain), bh)
+                chain = parent.extended(b, weight)
                 for tx in b.transactions:
-                    self._holders.setdefault(tx.tx_id, []).append(holder)
-            else:
-                entry = StoredBlock(ok, reason)
-            self._entries[key] = entry
+                    self._holders.setdefault(tx.tx_id, []).append(chain)
+            entry = self._entries[key] = (reason, chain)
         return entry
 
     def commits(self, chain: Chain, tx_id: bytes) -> bool:
-        """Whether a block of ``chain`` holds the transaction ``tx_id``."""
-        blocks = chain.blocks
+        """Whether a block of ``chain`` holds the transaction ``tx_id``: the
+        ancestor of ``chain`` at a holder's height is that holder."""
         return any(
-            height < len(blocks) and hash_block(blocks[height]) == bh
-            for height, bh in self._holders.get(tx_id, ())
+            holder.height <= chain.height and chain.ancestor(holder.height) is holder
+            for holder in self._holders.get(tx_id, ())
         )
 
 
@@ -235,13 +206,13 @@ class Node:
         }
         self.evidence: dict[str, EvidenceRecord] = {}
 
-        # the valid blocks this replica has received, by hash; their derived
-        # state lives in the shared block store
+        # the chains of the valid blocks this replica has received, by tip
+        # hash; they are the shared block store's
         genesis = ctx.block_store.genesis
-        self._received: dict[bytes, StoredBlock] = {genesis.chain.tip_hash: genesis}
-        self._leaves: set[bytes] = {genesis.chain.tip_hash}
+        self._received: dict[bytes, Chain] = {genesis.tip_hash: genesis}
+        self._leaves: set[bytes] = {genesis.tip_hash}
         self._orphans: list[Block] = []
-        self.replica: Chain = genesis.chain
+        self.replica: Chain = genesis
 
         self.pending_txs: dict[str, Transaction] = {}
         self.outstanding: dict[tuple[str, int], float] = {}
@@ -333,9 +304,6 @@ class Node:
 
     # -- (1) chain --------------------------------------------------------
 
-    def _fork_key(self, h: bytes) -> tuple[float, bytes]:
-        return self._received[h].rank
-
     def _ingest_blocks(self, blocks: Sequence[Block]) -> bool:
         vctx = self.ctx.validation_context
         queue = list(blocks) + self._orphans
@@ -343,7 +311,7 @@ class Node:
         # the best leaf starts as the replica's tip and is updated as each
         # admitted block replaces its parent among the leaves; the leaves are
         # rescanned only when the best leaf's child ranks below another leaf
-        tip = best = self.replica.tip_hash
+        tip = best = self.replica
         progress = True
         while progress:
             progress = False
@@ -356,24 +324,24 @@ class Node:
                 if parent is None:
                     remaining.append(b)
                     continue
-                entry = self.ctx.block_store.admit(b, parent, vctx)
+                reason, chain = self.ctx.block_store.admit(b, parent, vctx)
                 progress = True
-                if not entry.ok:
-                    self.invalid_reasons[entry.reason] += 1
+                if chain is None:
+                    self.invalid_reasons[reason] += 1
                     continue
-                self._received[bh] = entry
-                parent_hash = b.header.prev_hash
-                self._leaves.discard(parent_hash)
+                self._received[bh] = chain
+                self._leaves.discard(b.header.prev_hash)
                 self._leaves.add(bh)
-                if self._fork_key(bh) < self._fork_key(best):
-                    best = bh
-                elif parent_hash == best:
-                    best = min(self._leaves, key=self._fork_key)
+                if chain.rank < best.rank:
+                    best = chain
+                elif parent is best:
+                    leaves = map(self._received.__getitem__, self._leaves)
+                    best = min(leaves, key=attrgetter("rank"))
             queue = remaining
         self._orphans = queue
 
-        if best != tip:
-            self.replica = self._received[best].chain
+        if best is not tip:
+            self.replica = best
             return True
         return False
 

@@ -237,7 +237,7 @@ class Simulation:
         return {
             "round": rnd,
             "blocks_proposed": blocks_proposed,
-            "chain_height": len(reference.replica) - 1,
+            "chain_height": reference.replica.height,
             "open_forks": len(reference._leaves),
             "invalid_blocks": sum(n.invalid_blocks for n in self.nodes),
             "blacklist_precision": precision,

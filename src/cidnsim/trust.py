@@ -76,9 +76,10 @@ class TrustParams:
             raise ValueError(
                 f"cred_threshold must be in (0,1), got {self.cred_threshold}"
             )
-        if not 0.0 <= self.initial_trust <= 1.0:
+        # a host starts at initial_trust, and host trust stays inside (0,1)
+        if not 0.0 < self.initial_trust < 1.0:
             raise ValueError(
-                f"initial_trust must be in [0,1], got {self.initial_trust}"
+                f"initial_trust must be in (0,1), got {self.initial_trust}"
             )
         if not 0.0 < self.blacklist_threshold < 1.0:
             raise ValueError(
@@ -138,10 +139,6 @@ class HostTrustState:
 
     @staticmethod
     def fresh(p: TrustParams) -> "HostTrustState":
-        if not 0.0 < p.initial_trust < 1.0:
-            raise ValueError(
-                "initial_trust must be strictly inside (0,1) when hosts are tracked"
-            )
         return HostTrustState(tr_ids=p.initial_trust)
 
 

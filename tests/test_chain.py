@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from cidnsim.chain import (
     make_block,
     verify_transaction,
 )
+from oracles import replay_check
 from cidnsim.keys import KeyPair, KeyRegistry
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -246,12 +249,12 @@ def test_chain_linkage_and_duplicate_rejection(registry_and_keys):
     _, keys = registry_and_keys
     chain = Chain.genesis()
     b1 = _block_on(chain, keys[0], 1, [])
-    chain2 = chain.extended(b1)
-    assert len(chain2) == 2
+    chain2 = chain.extended(b1, 0.0)
+    assert chain2.height == 1 and chain2.blocks == [chain.tip, b1]
     with pytest.raises(ChainError):
-        chain.extended(_block_on(chain2, keys[0], 2, []))  # wrong parent
+        chain.extended(_block_on(chain2, keys[0], 2, []), 0.0)  # wrong parent
     with pytest.raises(ChainError):
-        chain2.extended(b1)  # prev mismatch caught before duplicate
+        chain2.extended(b1, 0.0)  # prev mismatch caught before duplicate
 
 
 def test_latest_entry_wins(registry_and_keys):
@@ -259,15 +262,15 @@ def test_latest_entry_wins(registry_and_keys):
     k = keys[0]
     chain = Chain.genesis()
     chain = chain.extended(
-        _block_on(chain, k, 1, [build_transaction(k, {"p": 0.9}, {"h": 0.1})])
+        _block_on(chain, k, 1, [build_transaction(k, {"p": 0.9}, {"h": 0.1})]), 0.0
     )
     chain = chain.extended(
-        _block_on(chain, k, 2, [build_transaction(k, {"p": 0.2}, {"h": 0.8})])
+        _block_on(chain, k, 2, [build_transaction(k, {"p": 0.2}, {"h": 0.8})]), 0.0
     )
     assert chain.latest_cred[k.node_id] == {"p": 0.2}
     assert chain.latest_trust[k.node_id] == {"h": 0.8}
     assert chain.last_led_round[k.node_id] == 2
-    assert chain.replay_check()
+    assert replay_check(chain)
 
 
 def test_chain_state_credibility_excludes_target_and_self(registry_and_keys):
@@ -275,13 +278,54 @@ def test_chain_state_credibility_excludes_target_and_self(registry_and_keys):
     a, b = keys[0], keys[1]
     chain = Chain.genesis()
     chain = chain.extended(
-        _block_on(chain, a, 1, [build_transaction(a, {b.node_id: 0.7}, {"h": 0.5})])
+        _block_on(chain, a, 1, [build_transaction(a, {b.node_id: 0.7}, {"h": 0.5})]), 0.0
     )
     chain = chain.extended(
-        _block_on(chain, b, 2, [build_transaction(b, {a.node_id: 0.6}, {"h": 0.5})])
+        _block_on(chain, b, 2, [build_transaction(b, {a.node_id: 0.6}, {"h": 0.5})]), 0.0
     )
     assert chain.chain_state_credibility(b.node_id) == {a.node_id: 0.7}
     assert chain.chain_state_credibility(a.node_id) == {b.node_id: 0.6}
+
+
+def test_a_chain_scores_its_blocks_weights_and_links_to_its_ancestors(registry_and_keys):
+    _, keys = registry_and_keys
+    genesis = Chain.genesis()
+    a = genesis.extended(_block_on(genesis, keys[0], 1, []), 0.25)
+    ab = a.extended(_block_on(a, keys[0], 2, []), 0.5)
+    b = genesis.extended(_block_on(genesis, keys[1], 1, []), 0.75)
+    assert (ab.height, ab.score, ab.rank) == (2, 0.75, (-0.75, ab.tip_hash))
+    assert ab.parent is a and ab.ancestor(1) is a and ab.ancestor(0) is genesis
+    assert ab.ancestor(2) is ab and a.parent is genesis and genesis.parent is None
+    assert ab.blocks == [genesis.tip, a.tip, ab.tip]
+    # equal scores: the smaller tip hash ranks first
+    first = min(ab, b, key=attrgetter("rank"))
+    assert first.tip_hash == min(ab.tip_hash, b.tip_hash)
+    assert min(a, b, key=attrgetter("rank")) is b
+
+
+def test_chains_kept_at_every_height_take_memory_linear_in_the_height(registry_and_keys):
+    """A chain extended n times, with every intermediate chain kept as the
+    block store keeps them, retains memory linear in n: doubling n at most
+    (about) doubles it."""
+    _, keys = registry_and_keys
+    k = keys[0]
+    blocks, prev = [], Chain.genesis().tip_hash
+    for rnd in range(1, 2001):
+        tx = build_transaction(k, {keys[1].node_id: 0.5}, {"10.0.0.1": rnd / 4000})
+        blocks.append(make_block(k, rnd, prev, 1, 0.5, [tx]))
+        prev = hash_block(blocks[-1])
+
+    def retained(n: int) -> int:
+        tracemalloc.start()
+        try:
+            kept = [Chain.genesis()]
+            for b in blocks[:n]:
+                kept.append(kept[-1].extended(b, 1.0))
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert retained(2000) / retained(1000) <= 2.5
 
 
 # -- export / import --------------------------------------------------------
@@ -292,7 +336,7 @@ def test_export_import_round_trip(tmp_path, registry_and_keys):
     chain = Chain.genesis()
     for rnd, k in enumerate(keys, start=1):
         tx = build_transaction(k, {}, {"10.0.0.1": 0.4})
-        chain = chain.extended(_block_on(chain, k, rnd, [tx]))
+        chain = chain.extended(_block_on(chain, k, rnd, [tx]), 0.0)
     path = tmp_path / "chain.jsonl"
     export_chain(chain, reg, str(path))
     blocks, reg2 = import_chain(str(path))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -187,7 +188,7 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     blocks, registry = import_chain(str(chain_path))
     chain = Chain.genesis()
     for b in blocks[1:]:
-        chain = chain.extended(b)
+        chain = chain.extended(b, 0.0)
 
     outsider = KeyPair.from_seed(hashlib.sha256(b"outsider").digest())
     registry.register(outsider.public_bytes)
@@ -205,7 +206,7 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
         raise AssertionError("setup: the outsider never won the lottery")
     assert validate_block(forged, chain, widened)[:2] == (True, Reason.OK)
 
-    export_chain(chain.extended(forged), registry, str(chain_path))
+    export_chain(chain.extended(forged, 0.0), registry, str(chain_path))
     capsys.readouterr()
     assert main(["verify", "--chain", str(chain_path), "--config", str(config)]) == EXIT_VERIFY
     assert "registry differs from the configured membership" in capsys.readouterr().out
@@ -233,10 +234,75 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
         raise AssertionError("setup: the leader never won the lottery")
 
     chain_path = tmp_path / "chain.jsonl"
-    export_chain(chain.extended(forged), ctx.registry, str(chain_path))
+    export_chain(chain.extended(forged, 0.0), ctx.registry, str(chain_path))
     capsys.readouterr()
     assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
     assert '"reason": "tx-invalid"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda lines: lines[:3] + lines[2:], id="duplicated"),
+        pytest.param(lambda lines: lines[:2] + lines[3:], id="dropped"),
+        pytest.param(lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], id="swapped"),
+    ],
+)
+def test_verify_rejects_a_reordered_export_as_linkage(tiny_config, tmp_path, capsys, edit):
+    """Block lines duplicated, dropped or swapped break the parent links;
+    line 0 is the registry, line 1 genesis."""
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    chain_path = out / "chain.jsonl"
+    lines = chain_path.read_text().splitlines()
+    assert len(lines) >= 5, "run produced too few blocks to reorder"
+    chain_path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--chain", str(chain_path), "--config", str(config)]) == EXIT_VERIFY
+    assert '"reason": "linkage"' in capsys.readouterr().out
+
+
+def _summary_without_blocks_mined(summary):
+    for s in summary["node_summaries"].values():
+        del s["blocks_mined"]
+    return json.dumps(summary)
+
+
+def _open_forks_not_a_number(metrics):
+    rows = list(csv.DictReader(metrics.splitlines()))
+    rows[-1]["open_forks"] = "many"
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name,rewrite",
+    [
+        pytest.param("result.json", lambda text: "{not json", id="result-not-json"),
+        pytest.param("result.json", lambda text: "[1, 2]", id="result-array"),
+        pytest.param(
+            "result.json",
+            lambda text: _summary_without_blocks_mined(json.loads(text)),
+            id="no-blocks_mined",
+        ),
+        pytest.param("metrics.csv", _open_forks_not_a_number, id="open_forks-not-a-number"),
+    ],
+)
+def test_report_on_malformed_inputs_exits_2_with_a_message(
+    tiny_config, tmp_path, capsys, name, rewrite
+):
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    path = out / name
+    path.write_text(rewrite(path.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == EXIT_IO
+    assert "malformed input" in capsys.readouterr().err
 
 
 def test_report_summarizes_run(tiny_config, tmp_path, capsys):

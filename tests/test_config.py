@@ -149,6 +149,16 @@ def test_bad_consensus_values_exit_1_with_a_message(field, value, tmp_path, caps
     assert err.startswith("config error: consensus:") and field in err
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_an_initial_trust_at_an_endpoint_exits_1_with_a_message(value, tmp_path, capsys):
+    """Host trust starts at ``initial_trust`` and must stay inside (0,1)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(variant(trust={**BASE["trust"], "initial_trust": value})))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: trust:") and "initial_trust" in err
+
+
 def test_integral_float_consensus_values_are_accepted():
     config = config_from_dict(variant(consensus={**BASE["consensus"], "q_max": 4096.0}))
     assert config.consensus.q_max == 4096 and type(config.consensus.q_max) is int

@@ -277,7 +277,7 @@ def _one_block_parent(leader, other, ctx, trusts):
         tx = build_transaction(other, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
         block, _ = propose(chain, other, 1, [tx, prior], ctx)
         if block is not None:
-            return chain.extended(block)
+            return chain.extended(block, 0.0)
     raise AssertionError("setup: no qualifying payload found")
 
 

@@ -49,6 +49,8 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         ("severity", -1.0),
         ("cred_threshold", 1.0),
         ("initial_trust", 1.5),
+        ("initial_trust", 0.0),
+        ("initial_trust", 1.0),
         ("blacklist_threshold", 0.0),
         ("interval_len", 0),
         ("interval_len", 2.5),
