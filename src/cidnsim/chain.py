@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from .encoding import enc_bytes, enc_int, enc_list, enc_real, enc_str
 from .keys import KeyPair, KeyRegistry, verify
@@ -40,6 +40,9 @@ HASH_LEN = 32
 ZERO_HASH = b"\x00" * HASH_LEN
 
 
+T = TypeVar("T")
+
+
 class ChainError(ValueError):
     """Structural violation: bad linkage or a malformed record."""
 
@@ -52,8 +55,8 @@ def _memo_slot(name: str) -> str:
     return f"_memo_{name}"
 
 
-def _memoized(method: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
-    """Compute a frozen record's bytes once and keep them on the instance.
+def _memoized(method: Callable[[Any], T]) -> Callable[[Any], T]:
+    """Compute a frozen record's value once and keep it on the instance.
 
     The cache lives in the instance ``__dict__``, outside the dataclass
     fields, so equality, hashing and ``dataclasses.replace`` ignore it.
@@ -71,10 +74,10 @@ def _memoized(method: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
     return cached
 
 
-def _with_memo(record: Any, **computed: bytes) -> Any:
-    """Keep bytes already computed for ``record`` as its memoized results of
-    the methods they are named after, so the very objects that were hashed
-    and signed are the ones later calls return."""
+def _with_memo(record: Any, **computed: Any) -> Any:
+    """Keep values already computed for ``record`` as its memoized results of
+    the methods they are named after, so later calls return the objects made
+    while building it rather than a second copy."""
     for name, value in computed.items():
         record.__dict__[_memo_slot(name)] = value
     return record
@@ -96,7 +99,6 @@ class EvidenceRecord:
             if len(d) != HASH_LEN:
                 raise ValueError("alert digest must be 32 bytes")
 
-    @_memoized
     def encode(self) -> bytes:
         return (
             enc_str(self.host)
@@ -108,6 +110,14 @@ class EvidenceRecord:
 
 @dataclass(frozen=True)
 class Transaction:
+    """One node's signed lists.
+
+    The encoding is the only bytes a transaction keeps: the signed bytes and
+    the body are cut from it.  The lists are also kept as the two maps chain
+    state holds, built once, so every chain that commits the transaction
+    shares them.
+    """
+
     tx_id: bytes
     ids_id: str
     peer_list: tuple[str, ...]
@@ -117,25 +127,38 @@ class Transaction:
     evidence_list: tuple[EvidenceRecord, ...]
     signature: bytes
 
-    @_memoized
     def body_bytes(self) -> bytes:
+        """The signed lists, which ``tx_id`` hashes: the signed bytes after
+        the id."""
+        return self.signed_bytes()[len(self.tx_id):]
+
+    def signed_bytes(self) -> bytes:
+        """The id and the body, which the signature covers: the encoding
+        without the length-prefixed signature."""
+        return self.encode()[: -4 - len(self.signature)]
+
+    @_memoized
+    def encode(self) -> bytes:
         return (
-            enc_str(self.ids_id)
+            self.tx_id
+            + enc_str(self.ids_id)
             + enc_list(self.peer_list, enc_str)
             + enc_list(self.cred_list, enc_real)
             + enc_list(self.host_list, enc_str)
             + enc_list(self.trust_list, enc_real)
             + enc_list(self.evidence_list, EvidenceRecord.encode)
+            + enc_bytes(self.signature)
         )
 
-    def signed_bytes(self) -> bytes:
-        """The id and the body, which the signature covers; ``encode``
-        keeps them, so they are not kept a second time."""
-        return self.tx_id + self.body_bytes()
+    @_memoized
+    def peer_creds(self) -> dict[str, float]:
+        """Peer -> credibility, in list order.  Shared: never edit it."""
+        return dict(zip(self.peer_list, self.cred_list))
 
     @_memoized
-    def encode(self) -> bytes:
-        return self.signed_bytes() + enc_bytes(self.signature)
+    def host_trusts(self) -> dict[str, float]:
+        """Host -> trust, in list order.  Shared: never edit it."""
+        return dict(zip(self.host_list, self.trust_list))
 
 
 def build_transaction(
@@ -149,27 +172,32 @@ def build_transaction(
     Peer and host sections are ordered by identifier for determinism.
     """
     evidence = evidence or {}
-    peers = tuple(sorted(peer_creds))
-    hosts = tuple(sorted(host_trusts))
+    creds = {p: peer_creds[p] for p in sorted(peer_creds)}
+    trusts = {h: host_trusts[h] for h in sorted(host_trusts)}
     ev = tuple(
-        evidence.get(h, EvidenceRecord(h, (), 0, 0)) for h in hosts
+        evidence.get(h, EvidenceRecord(h, (), 0, 0)) for h in trusts
     )
     unsigned = Transaction(
-        tx_id=ZERO_HASH,
+        tx_id=b"",
         ids_id=key.node_id,
-        peer_list=peers,
-        cred_list=tuple(peer_creds[p] for p in peers),
-        host_list=hosts,
-        trust_list=tuple(host_trusts[h] for h in hosts),
+        peer_list=tuple(creds),
+        cred_list=tuple(creds.values()),
+        host_list=tuple(trusts),
+        trust_list=tuple(trusts.values()),
         evidence_list=ev,
         signature=b"",
     )
     # the body leaves out the id and the signature, so it is the signed
-    # transaction's body too
+    # transaction's body too; the bytes signed, with the signature, are the
+    # signed transaction's encoding
     body = unsigned.body_bytes()
     tx_id = _sha256(body)
-    tx = replace(unsigned, tx_id=tx_id, signature=key.sign(tx_id + body))
-    return _with_memo(tx, body_bytes=body)
+    signed = tx_id + body
+    signature = key.sign(signed)
+    tx = replace(unsigned, tx_id=tx_id, signature=signature)
+    return _with_memo(
+        tx, encode=signed + enc_bytes(signature), peer_creds=creds, host_trusts=trusts
+    )
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
@@ -221,8 +249,9 @@ class Block:
     transactions: tuple[Transaction, ...]  # ordered by ids_id ascending
     leader_signature: bytes
 
-    @_memoized
     def payload_bytes(self) -> bytes:
+        """The transactions' encodings, joined afresh on each call: a block
+        keeps no copy of the bytes its transactions hold."""
         return enc_list(self.transactions, Transaction.encode)
 
     def signed_bytes(self) -> bytes:
@@ -251,12 +280,10 @@ def make_block(
     unsigned = Block(
         BlockHeader(ZERO_HASH, key.node_id, gen_time, prev_hash, ctr, target_v), txs, b""
     )
-    # the payload is encoded once: it fixes the id, is signed, and is kept
-    # on the returned block
+    # the payload is encoded once: it fixes the id and is signed
     payload = unsigned.payload_bytes()
     header = replace(unsigned.header, block_id=block_id(unsigned.header, payload))
-    signature = key.sign(header.encode() + payload)
-    return _with_memo(Block(header, txs, signature), payload_bytes=payload)
+    return Block(header, txs, key.sign(header.encode() + payload))
 
 
 @_memoized
@@ -351,9 +378,10 @@ class Chain:
         latest_cred = dict(self.latest_cred)
         latest_trust = dict(self.latest_trust)
         last_led = dict(self.last_led_round)
+        # the transaction's own maps, shared by every fork that commits it
         for tx in b.transactions:
-            latest_cred[tx.ids_id] = dict(zip(tx.peer_list, tx.cred_list))
-            latest_trust[tx.ids_id] = dict(zip(tx.host_list, tx.trust_list))
+            latest_cred[tx.ids_id] = tx.peer_creds()
+            latest_trust[tx.ids_id] = tx.host_trusts()
         if b.header.leader_id:
             last_led[b.header.leader_id] = b.header.gen_time
         return Chain(b, self, latest_cred, latest_trust, last_led, self.score + weight)

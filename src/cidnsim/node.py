@@ -18,7 +18,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import trust
 from .chain import (
@@ -53,6 +53,9 @@ from .trust import (
     update_satisfaction,
     update_unsure,
 )
+
+if TYPE_CHECKING:
+    from .config import NetParams
 
 __all__ = [
     "Behavior",
@@ -161,6 +164,8 @@ class RuntimeContext:
 
     validation_context: the one context of the run, so its transaction
     verdicts are shared by every replica and every block validation.
+    network: the config's network section (challenges, and the delay that
+    bounds when a challenge can still be answered).
     """
 
     seed: int
@@ -169,8 +174,7 @@ class RuntimeContext:
     index_of: dict[str, int]
     host_ids: list[str]
     host_pmal: dict[str, float]
-    challenge_prob: float
-    challenge_priorities: str  # uniform | binary
+    network: NetParams
     collusion_groups: dict[str, int] = field(default_factory=dict)  # node_id -> group id
     block_store: BlockStore = field(default_factory=BlockStore)
 
@@ -288,6 +292,7 @@ class Node:
             out.append((KIND_RESPONSE, ch.challenger, self.respond_to_challenge(ch, rnd)))
         for resp in responses:
             self._evaluate_response(resp)
+        self._expire_challenges(rnd)
         out.extend(self._issue_challenges(peers, rnd))
 
         # (5) publish a transaction when the local lists changed
@@ -423,6 +428,18 @@ class Node:
                 state, satisfaction(outcome), p
             )
 
+    def _expire_challenges(self, rnd: int) -> None:
+        """Forget the challenges no response can still answer.  A message
+        sent in round r is delivered in round r + max(delay_rounds, 1), and a
+        challenge is answered the round it arrives, so the response to one
+        sent in round r is evaluated by round r + 2 max(delay_rounds, 1); a
+        response that was dropped never comes."""
+        horizon = rnd - 2 * max(self.ctx.network.delay_rounds, 1)
+        self.outstanding = {
+            key: priority for key, priority in self.outstanding.items()
+            if key[1] > horizon
+        }
+
     def _issue_challenges(
         self, peers: Sequence[str], rnd: int
     ) -> list[tuple[str, str, Challenge]]:
@@ -431,10 +448,10 @@ class Node:
             rng = self._pair_rng(
                 self._challenge_rngs, "challenge", self.ctx.index_of[peer]
             )
-            if rng.random() >= self.ctx.challenge_prob:
+            if rng.random() >= self.ctx.network.challenge_prob:
                 continue
             u = rng.random()
-            priority = u if self.ctx.challenge_priorities == "uniform" else (
+            priority = u if self.ctx.network.challenge_priorities == "uniform" else (
                 0.0 if u < 0.5 else 1.0
             )
             self.outstanding[(peer, rnd)] = priority

@@ -96,8 +96,7 @@ class Simulation:
             index_of={nid: i for i, nid in enumerate(ids)},
             host_ids=self.host_ids,
             host_pmal=host_pmal,
-            challenge_prob=config.network.challenge_prob,
-            challenge_priorities=config.network.challenge_priorities,
+            network=config.network,
             collusion_groups=collusion_groups,
         )
         self.network = Network(

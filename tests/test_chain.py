@@ -203,10 +203,12 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
         chain_module, "enc_list", lambda *a: calls.append(a) or enc_list(*a)
     )
     b = make_block(keys_[0], 3, prev, 7, 0.5, txs)
-    b.payload_bytes()
     assert len(calls) == 1
     monkeypatch.undo()
-    assert b.header.block_id == block_id(b.header, b.payload_bytes())
+    payload = b.payload_bytes()
+    assert b.header.block_id == block_id(b.header, payload)
+    # the block keeps its fields only, not the payload it was built from
+    assert vars(b).keys() == {f.name for f in dataclasses.fields(b)}
 
 
 def test_block_round_trip(registry_and_keys):

@@ -438,3 +438,117 @@ def test_hard_lottery_exports_match_golden_digests(tmp_path):
     config.write_text(json.dumps(HARD_LOTTERY))
     digests = export_digests(config, tmp_path / "out")
     assert digests == GOLDEN_DIGESTS["hard_lottery"]
+
+
+# -- fuzz: one value of a valid input replaced by any JSON value ------------
+
+# Any JSON value the reader can meet, weighted toward the awkward ones: NaN,
+# the infinities and integers beyond 64 bits, alone or nested.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63) + 1)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, prefix + (key,))
+
+
+def _fuzzed(data, doc):
+    """``doc`` with the value at one drawn path replaced by a drawn JSON value,
+    or, for a path inside an object or array, deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    if not path:
+        return data.draw(_JSON_VALUES, label="document")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES, label="value")
+    return doc
+
+
+@pytest.fixture(scope="module")
+def verified_export(tmp_path_factory):
+    """A valid config and the export of its run, which ``verify`` accepts."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = {
+        "schema_version": 1,
+        "rounds": 6,
+        "rng_seed": 5,
+        "trust": {
+            "forgetting": 0.9,
+            "severity": 1.0,
+            "cred_threshold": 0.8,
+            "initial_trust": 0.5,
+            "blacklist_threshold": 0.2,
+            "interval_len": 20,
+        },
+        "consensus": {"d_cred": 1.0, "d_stake": 0.05, "r_bits": 16, "q_max": 4096, "t_cap": 16},
+        "network": {"challenge_prob": 0.5},
+        "hosts": [{"p_mal": 0.0}, {"p_mal": 0.9}],
+        "nodes": [{"fp": 0.02, "fn": 0.02} for _ in range(3)],
+    }
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = root / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    lines = [json.loads(line) for line in (out / "chain.jsonl").read_text().splitlines()]
+    assert len(lines) > 3, "the run committed too few blocks to fuzz"
+    args = ["verify", "--chain", str(out / "chain.jsonl"), "--config", str(config_path)]
+    assert main(args) == EXIT_OK
+    return root, config, lines
+
+
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_VERIFY}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_of_a_fuzzed_config_ends_in_a_documented_exit_code(verified_export, data):
+    root, config, _ = verified_export
+    fuzzed = root / "fuzzed-config.json"
+    fuzzed.write_text(json.dumps(_fuzzed(data, config)))
+    chain = root / "out" / "chain.jsonl"
+    rc = main(["verify", "--chain", str(chain), "--config", str(fuzzed)])
+    assert rc in _DOCUMENTED_EXITS
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_of_a_fuzzed_export_line_ends_in_a_documented_exit_code(
+    verified_export, data
+):
+    root, _, lines = verified_export
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    fuzzed = root / "fuzzed-chain.jsonl"
+    fuzzed.write_text(
+        "".join(json.dumps(_fuzzed(data, v) if j == i else v) + "\n"
+                for j, v in enumerate(lines))
+    )
+    rc = main(["verify", "--chain", str(fuzzed), "--config", str(root / "config.json")])
+    assert rc in _DOCUMENTED_EXITS

@@ -11,6 +11,7 @@ from scipy.stats import entropy as scipy_entropy
 
 from cidnsim import consensus as consensus_module
 from cidnsim.chain import Chain, Transaction, build_transaction, hash_block
+from cidnsim.config import NetParams
 from cidnsim.consensus import (
     ConsensusParams,
     Reason,
@@ -433,8 +434,7 @@ def test_fork_choice_prefers_higher_stake_times_credibility():
                 index_of={m: i for i, m in enumerate(members)},
                 host_ids=[],
                 host_pmal={},
-                challenge_prob=0.0,
-                challenge_priorities="uniform",
+                network=NetParams(),
             )
             node = Node(runtime, 0, key_of("fork-observer"), Behavior(), [])
             for delivered in rounds:

@@ -3,6 +3,7 @@ round loop wired through the simulation driver."""
 
 import dataclasses
 import hashlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -12,8 +13,15 @@ from hypothesis import strategies as st
 from cidnsim import chain as chain_module
 from cidnsim import consensus as consensus_module
 from cidnsim import node as node_module
-from cidnsim.chain import Chain, build_transaction, hash_block, make_block
-from cidnsim.config import config_from_dict
+from cidnsim.chain import (
+    Block,
+    Chain,
+    Transaction,
+    build_transaction,
+    hash_block,
+    make_block,
+)
+from cidnsim.config import NetParams, config_from_dict
 from cidnsim.consensus import (
     ConsensusParams,
     Reason,
@@ -59,8 +67,7 @@ def make_node(behavior: Behavior, n_nodes: int = 2, know_prob: float = 1.0) -> N
         index_of={nid: i for i, nid in enumerate(ids)},
         host_ids=["10.9.0.1"],
         host_pmal={"10.9.0.1": 0.0},
-        challenge_prob=1.0,
-        challenge_priorities="uniform",
+        network=NetParams(challenge_prob=1.0),
         collusion_groups=groups,
     )
     monitors = [] if behavior.kind == "sybil" else ["10.9.0.1"]
@@ -107,6 +114,35 @@ def test_colluder_lies_on_challenges():
     node = make_node(Behavior(kind="collusion", group_id=0))
     resp = node.respond_to_challenge(challenge_to(node, 0.1), rnd=5)
     assert resp.answer == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
+    """Under loss a node holds at most (2 max(d, 1) + 1) rounds of challenges
+    per peer, and every response that arrives still finds its challenge: one
+    sent in round r is answered by round r + 2 max(d, 1)."""
+    config = small_config(
+        rounds=60,
+        network={"challenge_prob": 1.0, "drop_prob": 0.1, "delay_rounds": delay},
+    )
+    evaluate = Node._evaluate_response
+    unmatched = []
+
+    def checked(node, resp):
+        if (resp.target, resp.sent_round) not in node.outstanding:
+            unmatched.append(resp)
+        evaluate(node, resp)
+
+    monkeypatch.setattr(Node, "_evaluate_response", checked)
+    bound = (2 * max(delay, 1) + 1) * (len(config.nodes) - 1)
+    held = []
+
+    def check(sim, rnd):
+        held.extend(len(n.outstanding) for n in sim.nodes)
+
+    Simulation(config).run(round_hook=check)
+    assert max(held) <= bound
+    assert unmatched == []
 
 
 def test_behavior_schedule():
@@ -444,3 +480,30 @@ def test_invalid_reason_counts_add_up_to_invalid_blocks():
         assert set(reasons) >= expected
     total = sum(s["invalid_blocks"] for s in result.node_summaries.values())
     assert total == result.rounds[-1]["invalid_blocks"] >= len(mutated) * len(sim.nodes)
+
+
+def test_a_run_holds_each_encoding_and_list_map_once():
+    """After a run no stored block keeps its payload bytes, each transaction
+    keeps one bytes value, its encoding, and every chain that commits a
+    transaction holds that transaction's own peer and host maps, so forks
+    that commit the same transaction share them."""
+    sim = Simulation(small_config())
+    sim.run()
+    chains = [c for _, c in sim.ctx.block_store._entries.values() if c is not None]
+    block_fields = {f.name for f in dataclasses.fields(Block)}
+    tx_fields = {f.name for f in dataclasses.fields(Transaction)}
+    forks_of = Counter()
+    for chain in chains:
+        b = chain.tip
+        kept = [v for k, v in vars(b).items() if k not in block_fields]
+        assert all(v == hash_block(b) for v in kept)  # the memoized digest only
+        for tx in b.transactions:
+            held = [
+                v for k, v in vars(tx).items()
+                if k not in tx_fields and isinstance(v, bytes)
+            ]
+            assert len(held) == 1 and held[0] is tx.encode()
+            assert chain.latest_cred[tx.ids_id] is tx.peer_creds()
+            assert chain.latest_trust[tx.ids_id] is tx.host_trusts()
+            forks_of[id(tx)] += 1
+    assert max(forks_of.values()) >= 2, "no transaction was committed on two forks"
