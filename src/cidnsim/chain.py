@@ -112,14 +112,17 @@ class EvidenceRecord:
 class Transaction:
     """One node's signed lists.
 
+    ``seq`` is the round the transaction was built in: a node builds at most
+    one per round, so it rises with each transaction of a signer.
+
     The encoding is the only bytes a transaction keeps: the signed bytes and
-    the body are cut from it.  The lists are also kept as the two maps chain
-    state holds, built once, so every chain that commits the transaction
-    shares them.
+    the body are cut from it.  The lists are also kept as two maps, built
+    once, which every reader of chain state shares.
     """
 
     tx_id: bytes
     ids_id: str
+    seq: int
     peer_list: tuple[str, ...]
     cred_list: tuple[float, ...]
     host_list: tuple[str, ...]
@@ -142,6 +145,7 @@ class Transaction:
         return (
             self.tx_id
             + enc_str(self.ids_id)
+            + enc_int(self.seq)
             + enc_list(self.peer_list, enc_str)
             + enc_list(self.cred_list, enc_real)
             + enc_list(self.host_list, enc_str)
@@ -163,11 +167,13 @@ class Transaction:
 
 def build_transaction(
     key: KeyPair,
+    seq: int,
     peer_creds: dict[str, float],
     host_trusts: dict[str, float],
     evidence: dict[str, EvidenceRecord] | None = None,
 ) -> Transaction:
-    """Assemble, hash, and sign a transaction from a node's current lists.
+    """Assemble, hash, and sign a transaction from a node's current lists,
+    built in round ``seq``.
 
     Peer and host sections are ordered by identifier for determinism.
     """
@@ -180,6 +186,7 @@ def build_transaction(
     unsigned = Transaction(
         tx_id=b"",
         ids_id=key.node_id,
+        seq=seq,
         peer_list=tuple(creds),
         cred_list=tuple(creds.values()),
         host_list=tuple(trusts),
@@ -303,37 +310,32 @@ class Chain:
     """One node of the block tree: the block ``tip``, the ``parent`` chain it
     extends, and the state the path from genesis derives.
 
-    The derived state (each node's most recent credibility and trust lists,
-    the round of its last led block, and the fork-choice ``score``) is a pure
+    The derived state (each signer's last committed transaction, the round
+    of each leader's last block, and the fork-choice ``score``) is a pure
     function of that path; ``extended`` computes it from the parent's.  The
     block sequence is not held: ``blocks`` walks the parents.
     """
 
-    __slots__ = (
-        "tip", "parent", "height", "latest_cred", "latest_trust",
-        "last_led_round", "score",
-    )
+    __slots__ = ("tip", "parent", "height", "latest_tx", "last_led_round", "score")
 
     def __init__(
         self,
         tip: Block,
         parent: "Chain | None",
-        latest_cred: dict[str, dict[str, float]],
-        latest_trust: dict[str, dict[str, float]],
+        latest_tx: dict[str, Transaction],
         last_led_round: dict[str, int],
         score: float,
     ):
         self.tip = tip
         self.parent = parent
         self.height = 0 if parent is None else parent.height + 1
-        self.latest_cred = latest_cred
-        self.latest_trust = latest_trust
+        self.latest_tx = latest_tx
         self.last_led_round = last_led_round
         self.score = score
 
     @staticmethod
     def genesis() -> "Chain":
-        return Chain(genesis_block(), None, {}, {}, {}, 0.0)
+        return Chain(genesis_block(), None, {}, {}, 0.0)
 
     @property
     def tip_hash(self) -> bytes:
@@ -355,12 +357,12 @@ class Chain:
             chain = chain.parent
         return out[::-1]
 
-    def ancestor(self, height: int) -> "Chain":
-        """The chain this one extends whose tip is at ``height``."""
-        chain = self
-        while chain.height > height:
-            chain = chain.parent
-        return chain
+    def is_new(self, tx: Transaction) -> bool:
+        """The replay rule: a transaction may be committed on this chain only
+        if its ``seq`` is above that of its signer's last committed one, so a
+        signed report is committed once and never rolled back."""
+        last = self.latest_tx.get(tx.ids_id)
+        return last is None or tx.seq > last.seq
 
     def extended(self, b: Block, weight: float) -> "Chain":
         """Return the chain with ``b`` appended, scored ``weight`` above this
@@ -373,23 +375,19 @@ class Chain:
         """
         if b.header.prev_hash != self.tip_hash:
             raise ChainError("prev_hash does not match the chain tip")
-        # an observer's lists are replaced, never edited, so the per-observer
-        # dicts can be shared with the parent chain
-        latest_cred = dict(self.latest_cred)
-        latest_trust = dict(self.latest_trust)
+        latest_tx = dict(self.latest_tx)
         last_led = dict(self.last_led_round)
-        # the transaction's own maps, shared by every fork that commits it
         for tx in b.transactions:
-            latest_cred[tx.ids_id] = tx.peer_creds()
-            latest_trust[tx.ids_id] = tx.host_trusts()
+            latest_tx[tx.ids_id] = tx
         if b.header.leader_id:
             last_led[b.header.leader_id] = b.header.gen_time
-        return Chain(b, self, latest_cred, latest_trust, last_led, self.score + weight)
+        return Chain(b, self, latest_tx, last_led, self.score + weight)
 
     def chain_state_credibility(self, target: str) -> dict[str, float]:
         """Each observer's most recent on-chain credibility of ``target``."""
         out: dict[str, float] = {}
-        for observer, creds in self.latest_cred.items():
+        for observer, tx in self.latest_tx.items():
+            creds = tx.peer_creds()
             if observer != target and target in creds:
                 out[observer] = creds[target]
         return out
@@ -402,6 +400,7 @@ def _tx_to_dict(tx: Transaction) -> dict:
     return {
         "tx_id": tx.tx_id.hex(),
         "ids_id": tx.ids_id,
+        "seq": tx.seq,
         "peer_list": list(tx.peer_list),
         "cred_list": list(tx.cred_list),
         "host_list": list(tx.host_list),
@@ -456,6 +455,7 @@ def _tx_from_dict(d: dict) -> Transaction:
     return Transaction(
         tx_id=_hex(d["tx_id"], "tx_id"),
         ids_id=_json(d["ids_id"], str, "ids_id"),
+        seq=_int64(d["seq"], "seq"),
         peer_list=tuple(_array(d["peer_list"], str, "peer_list")),
         cred_list=tuple(_array(d["cred_list"], float, "cred_list")),
         host_list=tuple(_array(d["host_list"], str, "host_list")),

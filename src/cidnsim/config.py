@@ -16,6 +16,9 @@ from .trust import TrustParams
 __all__ = ["ConfigError", "NetParams", "HostSpec", "NodeSpec", "SimConfig", "load_config", "config_from_dict"]
 
 SCHEMA_VERSION = 1
+# the most nodes a config may define: each costs a key before a run or a
+# verify starts, and a round's work grows with the cube of the count
+MAX_NODES = 1000
 
 
 class ConfigError(ValueError):
@@ -82,8 +85,8 @@ class SimConfig:
             raise ConfigError("rounds must be >= 0")
         if not self.hosts:
             raise ConfigError("at least one host is required")
-        if not self.nodes:
-            raise ConfigError("at least one node is required")
+        if not 1 <= len(self.nodes) <= MAX_NODES:
+            raise ConfigError(f"a config needs 1 to {MAX_NODES} nodes, got {len(self.nodes)}")
         monitored: set[int] = set()
         for i, spec in enumerate(self.nodes):
             for h in spec.monitors:
@@ -280,8 +283,8 @@ def config_from_dict(d: Mapping[str, Any]) -> SimConfig:
         s = _object(d["sybil"], "sybil")
         _check_keys(s, {"n_fakes", "spawn_round", "strategy"}, "sybil")
         n_fakes = _integer(s.get("n_fakes"), "sybil.n_fakes")
-        if n_fakes < 0:
-            raise ConfigError(f"sybil.n_fakes must be >= 0, got {n_fakes}")
+        if not 0 <= n_fakes <= MAX_NODES:
+            raise ConfigError(f"sybil.n_fakes must be in [0, {MAX_NODES}], got {n_fakes}")
         fake = Behavior(
             kind="sybil",
             spawn_round=_integer(s.get("spawn_round", 0), "sybil.spawn_round"),

@@ -253,7 +253,8 @@ def leader_trust_values(
     for tx in transactions:
         if tx.ids_id == leader_id:
             return list(tx.trust_list)
-    return list(parent.latest_trust.get(leader_id, {}).values())
+    last = parent.latest_tx.get(leader_id)
+    return [] if last is None else list(last.host_trusts().values())
 
 
 def time_since_last_block(parent: Chain, leader_id: str, gen_time: int) -> int:
@@ -332,12 +333,14 @@ def validate_block(
     members = ctx.members_at(h.gen_time)
     if leader_key is None or h.leader_id not in members:
         return False, Reason.UNKNOWN_LEADER, 0.0
+    # one transaction per signer, so each is checked against the parent alone
     ids = [tx.ids_id for tx in b.transactions]
-    if ids != sorted(ids):
+    if ids != sorted(set(ids)):
         return False, Reason.TX_ORDER, 0.0
-    # a registered key that has not yet joined signs nothing the block may carry
+    # a registered key that has not yet joined signs nothing the block may
+    # carry, and nothing its signer has already outdated on the parent
     for tx in b.transactions:
-        if tx.ids_id not in members or not ctx.transaction_ok(tx):
+        if not (tx.ids_id in members and parent.is_new(tx) and ctx.transaction_ok(tx)):
             return False, Reason.TX_INVALID, 0.0
     draw = _draw(
         parent, h.prev_hash, h.leader_id, h.gen_time, payload, b.transactions, ctx,

@@ -213,7 +213,7 @@ def fork_contest(
             trusts = {h: 0.9 + 0.08 * rng.random() for h in hosts}
         else:
             trusts = {h: 0.48 + 0.04 * rng.random() for h in hosts}
-        txs.append(build_transaction(k, peers, trusts))
+        txs.append(build_transaction(k, 1, peers, trusts))
 
     store = BlockStore()
     for k in keys:

@@ -120,16 +120,11 @@ class BlockStore:
     a forged signature must not shadow the genuine block.  The parent is
     named by ``prev_hash``; every parent with that hash derives the same
     state, so one entry serves all of them.
-
-    Each transaction id is indexed to the chains whose tip holds it, so
-    whether a chain commits a transaction is a look at its ancestors at
-    those heights, with no per-block set of everything committed.
     """
 
     def __init__(self) -> None:
         self.genesis = Chain.genesis()
         self._entries: dict[tuple[bytes, bytes], tuple[str, Chain | None]] = {}
-        self._holders: dict[bytes, list[Chain]] = {}
 
     def admit(
         self, b: Block, parent: Chain, ctx: ValidationContext
@@ -140,21 +135,9 @@ class BlockStore:
         entry = self._entries.get(key)
         if entry is None:
             ok, reason, weight = validate_block(b, parent, ctx)
-            chain = None
-            if ok:
-                chain = parent.extended(b, weight)
-                for tx in b.transactions:
-                    self._holders.setdefault(tx.tx_id, []).append(chain)
+            chain = parent.extended(b, weight) if ok else None
             entry = self._entries[key] = (reason, chain)
         return entry
-
-    def commits(self, chain: Chain, tx_id: bytes) -> bool:
-        """Whether a block of ``chain`` holds the transaction ``tx_id``: the
-        ancestor of ``chain`` at a holder's height is that holder."""
-        return any(
-            holder.height <= chain.height and chain.ancestor(holder.height) is holder
-            for holder in self._holders.get(tx_id, ())
-        )
 
 
 @dataclass
@@ -351,11 +334,11 @@ class Node:
         return False
 
     def _drop_committed_pending(self) -> None:
-        commits = self.ctx.block_store.commits
+        """Keep the pending transactions still new on the replica: neither
+        committed nor outdated by a later one of their signer."""
+        is_new = self.replica.is_new
         self.pending_txs = {
-            sid: tx
-            for sid, tx in self.pending_txs.items()
-            if not commits(self.replica, tx.tx_id)
+            sid: tx for sid, tx in self.pending_txs.items() if is_new(tx)
         }
 
     # -- (2) diffusion ----------------------------------------------------
@@ -364,12 +347,14 @@ class Node:
         p = self.ctx.trust_params
         crds = {peer: st.crd for peer, st in self.peer_trust.items()}
         weights = trust.compute_weights(self.node_id, crds, p)
-        latest = self.replica.latest_trust
+        latest = {
+            obs: tx.host_trusts()
+            for obs, tx in self.replica.latest_tx.items()
+            if obs != self.node_id
+        }
         for ip, state in self.host_trust.items():
             scores = {
-                obs: published[ip]
-                for obs, published in latest.items()
-                if ip in published and obs != self.node_id
+                obs: published[ip] for obs, published in latest.items() if ip in published
             }
             scores[self.node_id] = state.tr_ids
             combined = trust.combine_trust(self.node_id, weights, scores)
@@ -477,10 +462,10 @@ class Node:
         if b.kind == "sybil":
             if b.strategy == "empty":
                 return creds, {}
-            latest = self.replica.latest_trust
+            latest = [tx.host_trusts() for tx in self.replica.latest_tx.values()]
             fabricated = {}
             for ip in self.ctx.host_ids:
-                published = [v[ip] for v in latest.values() if ip in v]
+                published = [v[ip] for v in latest if ip in v]
                 mean = sum(published) / len(published) if published else 0.5
                 fabricated[ip] = 1.0 - mean
             return creds, fabricated
@@ -504,7 +489,7 @@ class Node:
             return None
         self.last_published = fingerprint
         evidence = {ip: ev for ip, ev in self.evidence.items() if ip in trusts}
-        return build_transaction(self.key, creds, trusts, evidence)
+        return build_transaction(self.key, rnd, creds, trusts, evidence)
 
     # -- (6) mining -------------------------------------------------------
 

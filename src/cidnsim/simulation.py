@@ -19,6 +19,7 @@ from .consensus import (
     ValidationContext,
     chain_average_credibility,
     compute_stake,
+    leader_trust_values,
     time_since_last_block,
 )
 from .keys import KeyPair, KeyRegistry
@@ -198,9 +199,7 @@ class Simulation:
             if n.behavior.spawn_round > rnd:
                 continue
             avg = chain_average_credibility(reference, n.node_id, members, tau)
-            stake = compute_stake(
-                reference.latest_trust.get(n.node_id, {}).values()
-            )
+            stake = compute_stake(leader_trust_values(reference, n.node_id, ()))
             t = min(time_since_last_block(reference, n.node_id, rnd), cp.t_cap)
             sums[n.node_id] += stake * avg * t
 

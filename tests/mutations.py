@@ -47,7 +47,7 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
     if how == "leader_id":
         return reheader(leader_id="f" * 64)
     if how == "tx_order":
-        tx2 = build_transaction(other_key, {}, {"h0": 0.9})
+        tx2 = build_transaction(other_key, 1, {}, {"h0": 0.9})
         return reheader(
             tuple(sorted(block.transactions + (tx2,), key=lambda t: t.ids_id, reverse=True))
         )

@@ -1,16 +1,22 @@
 """Brute-force oracles the tests check incremental state against."""
 
 
+def last_committed(chain) -> dict:
+    """Each signer's last committed transaction, from a scan of the chain's
+    blocks in order."""
+    return {tx.ids_id: tx for b in chain.blocks for tx in b.transactions}
+
+
+def last_seqs(chain) -> dict:
+    """Each signer's last committed sequence number, from the same scan."""
+    return {signer: tx.seq for signer, tx in last_committed(chain).items()}
+
+
 def replay_check(chain) -> bool:
     """The chain's derived state equals a from-genesis replay of its blocks:
-    each signer's latest lists and each leader's last round."""
-    cred, trust, led = {}, {}, {}
+    each signer's last transaction and each leader's last round."""
+    led = {}
     for b in chain.blocks[1:]:
-        for tx in b.transactions:
-            cred[tx.ids_id] = dict(zip(tx.peer_list, tx.cred_list))
-            trust[tx.ids_id] = dict(zip(tx.host_list, tx.trust_list))
         if b.header.leader_id:
             led[b.header.leader_id] = b.header.gen_time
-    return (cred, trust, led) == (
-        chain.latest_cred, chain.latest_trust, chain.last_led_round
-    )
+    return (last_committed(chain), led) == (chain.latest_tx, chain.last_led_round)

@@ -181,7 +181,7 @@ def test_criterion_04_consensus_duality_fuzz(capsys):
     tx = None
     for salt in range(200):
         cand = build_transaction(
-            leader, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
+            leader, 1, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
         )
         from cidnsim.encoding import enc_list
         from cidnsim.chain import Transaction

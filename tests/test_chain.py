@@ -58,6 +58,7 @@ def test_transaction_round_trip_and_verify(registry_and_keys):
     ev = EvidenceRecord("10.0.0.1", (hashlib.sha256(b"alert").digest(),), 40, 50)
     tx = build_transaction(
         keys[0],
+        1,
         {"peerB": 0.8, "peerA": 0.6},
         {"10.0.0.1": 0.3, "10.0.0.2": 0.9},
         {"10.0.0.1": ev},
@@ -76,16 +77,17 @@ def test_transaction_round_trip_and_verify(registry_and_keys):
 
 def test_transaction_unknown_signer_rejected(registry_and_keys):
     _, keys = registry_and_keys
-    tx = build_transaction(keys[0], {}, {"10.0.0.1": 0.5})
+    tx = build_transaction(keys[0], 1, {}, {"10.0.0.1": 0.5})
     assert not verify_transaction(tx, KeyRegistry())
 
 
 def test_transaction_out_of_range_score_rejected(registry_and_keys):
     reg, keys = registry_and_keys
-    good = build_transaction(keys[0], {}, {"10.0.0.1": 0.5})
+    good = build_transaction(keys[0], 1, {}, {"10.0.0.1": 0.5})
     bad = Transaction(
         tx_id=good.tx_id,
         ids_id=good.ids_id,
+        seq=good.seq,
         peer_list=good.peer_list,
         cred_list=good.cred_list,
         host_list=good.host_list,
@@ -140,6 +142,7 @@ _EVIDENCE_CHANGES = {
 _TRANSACTION_CHANGES = {
     "tx_id": _flip_bit,
     "ids_id": _change_char,
+    "seq": _change_count,
     "peer_list": _change_entry(_change_char),
     "cred_list": _change_entry(_flip_real_bit),
     "host_list": _change_entry(_change_char),
@@ -162,7 +165,7 @@ def test_any_single_field_change_invalidates_transaction(data):
         for h in ("10.0.0.8", "10.0.0.9")
     }
     tx = build_transaction(
-        key, {"peerA": 0.7, "peerB": 0.2}, {"10.0.0.8": 0.9, "10.0.0.9": 0.4}, evidence
+        key, 7, {"peerA": 0.7, "peerB": 0.2}, {"10.0.0.8": 0.9, "10.0.0.9": 0.4}, evidence
     )
     assert verify_transaction(tx, reg)
     name, change = data.draw(st.sampled_from(sorted(_TRANSACTION_CHANGES.items())))
@@ -179,7 +182,7 @@ def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
     memoized encoding: the transaction keeps no separate copy of them, and
     the signature memo keeps only their digest."""
     _, keys_ = registry_and_keys
-    tx = build_transaction(keys_[0], {"peerA": 0.6}, {"10.0.0.1": 0.3})
+    tx = build_transaction(keys_[0], 1, {"peerA": 0.6}, {"10.0.0.1": 0.3})
     signed = tx.signed_bytes()
     assert signed == tx.tx_id + tx.body_bytes()
     assert tx.tx_id == hashlib.sha256(tx.body_bytes()).digest()
@@ -195,7 +198,7 @@ def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
 
 def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
     _, keys_ = registry_and_keys
-    txs = [build_transaction(k, {}, {"10.0.0.1": 0.5}) for k in keys_]
+    txs = [build_transaction(k, 1, {}, {"10.0.0.1": 0.5}) for k in keys_]
     prev = genesis_block().header.block_id
     calls = []
     enc_list = chain_module.enc_list
@@ -213,7 +216,7 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
 
 def test_block_round_trip(registry_and_keys):
     _, keys = registry_and_keys
-    txs = [build_transaction(k, {}, {"10.0.0.1": 0.5}) for k in keys]
+    txs = [build_transaction(k, 1, {}, {"10.0.0.1": 0.5}) for k in keys]
     b = make_block(keys[0], 5, Chain.genesis().tip_hash, 3, 0.25, txs)
     copy = block_from_dict(block_to_dict(b))
     assert copy == b and copy.encode() == b.encode()
@@ -223,7 +226,7 @@ def test_block_round_trip(registry_and_keys):
 
 def test_block_id_depends_on_every_field(registry_and_keys):
     _, keys = registry_and_keys
-    tx = build_transaction(keys[0], {}, {"10.0.0.1": 0.5})
+    tx = build_transaction(keys[0], 1, {}, {"10.0.0.1": 0.5})
     header = BlockHeader(ZERO_HASH, "leader", 7, b"\x01" * 32, 9, 0.5)
     payload = Block(header, (tx,), b"").payload_bytes()
     reference = block_id(header, payload)
@@ -264,13 +267,13 @@ def test_latest_entry_wins(registry_and_keys):
     k = keys[0]
     chain = Chain.genesis()
     chain = chain.extended(
-        _block_on(chain, k, 1, [build_transaction(k, {"p": 0.9}, {"h": 0.1})]), 0.0
+        _block_on(chain, k, 1, [build_transaction(k, 1, {"p": 0.9}, {"h": 0.1})]), 0.0
     )
     chain = chain.extended(
-        _block_on(chain, k, 2, [build_transaction(k, {"p": 0.2}, {"h": 0.8})]), 0.0
+        _block_on(chain, k, 2, [build_transaction(k, 2, {"p": 0.2}, {"h": 0.8})]), 0.0
     )
-    assert chain.latest_cred[k.node_id] == {"p": 0.2}
-    assert chain.latest_trust[k.node_id] == {"h": 0.8}
+    assert chain.latest_tx[k.node_id].peer_creds() == {"p": 0.2}
+    assert chain.latest_tx[k.node_id].host_trusts() == {"h": 0.8}
     assert chain.last_led_round[k.node_id] == 2
     assert replay_check(chain)
 
@@ -280,10 +283,10 @@ def test_chain_state_credibility_excludes_target_and_self(registry_and_keys):
     a, b = keys[0], keys[1]
     chain = Chain.genesis()
     chain = chain.extended(
-        _block_on(chain, a, 1, [build_transaction(a, {b.node_id: 0.7}, {"h": 0.5})]), 0.0
+        _block_on(chain, a, 1, [build_transaction(a, 1, {b.node_id: 0.7}, {"h": 0.5})]), 0.0
     )
     chain = chain.extended(
-        _block_on(chain, b, 2, [build_transaction(b, {a.node_id: 0.6}, {"h": 0.5})]), 0.0
+        _block_on(chain, b, 2, [build_transaction(b, 2, {a.node_id: 0.6}, {"h": 0.5})]), 0.0
     )
     assert chain.chain_state_credibility(b.node_id) == {a.node_id: 0.7}
     assert chain.chain_state_credibility(a.node_id) == {b.node_id: 0.6}
@@ -296,8 +299,7 @@ def test_a_chain_scores_its_blocks_weights_and_links_to_its_ancestors(registry_a
     ab = a.extended(_block_on(a, keys[0], 2, []), 0.5)
     b = genesis.extended(_block_on(genesis, keys[1], 1, []), 0.75)
     assert (ab.height, ab.score, ab.rank) == (2, 0.75, (-0.75, ab.tip_hash))
-    assert ab.parent is a and ab.ancestor(1) is a and ab.ancestor(0) is genesis
-    assert ab.ancestor(2) is ab and a.parent is genesis and genesis.parent is None
+    assert ab.parent is a and a.parent is genesis and genesis.parent is None
     assert ab.blocks == [genesis.tip, a.tip, ab.tip]
     # equal scores: the smaller tip hash ranks first
     first = min(ab, b, key=attrgetter("rank"))
@@ -313,7 +315,7 @@ def test_chains_kept_at_every_height_take_memory_linear_in_the_height(registry_a
     k = keys[0]
     blocks, prev = [], Chain.genesis().tip_hash
     for rnd in range(1, 2001):
-        tx = build_transaction(k, {keys[1].node_id: 0.5}, {"10.0.0.1": rnd / 4000})
+        tx = build_transaction(k, rnd, {keys[1].node_id: 0.5}, {"10.0.0.1": rnd / 4000})
         blocks.append(make_block(k, rnd, prev, 1, 0.5, [tx]))
         prev = hash_block(blocks[-1])
 
@@ -337,7 +339,7 @@ def test_export_import_round_trip(tmp_path, registry_and_keys):
     reg, keys = registry_and_keys
     chain = Chain.genesis()
     for rnd, k in enumerate(keys, start=1):
-        tx = build_transaction(k, {}, {"10.0.0.1": 0.4})
+        tx = build_transaction(k, rnd, {}, {"10.0.0.1": 0.4})
         chain = chain.extended(_block_on(chain, k, rnd, [tx]), 0.0)
     path = tmp_path / "chain.jsonl"
     export_chain(chain, reg, str(path))

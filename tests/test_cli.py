@@ -130,7 +130,7 @@ def block_line(header=(), tx=(), **fields):
     fields given."""
     evidence = {"host": "h", "alert_digests": [], "normal_count": 1, "packet_count": 1}
     transaction = {
-        "tx_id": "00" * 32, "ids_id": "n", "peer_list": [], "cred_list": [],
+        "tx_id": "00" * 32, "ids_id": "n", "seq": 1, "peer_list": [], "cred_list": [],
         "host_list": ["h"], "trust_list": [0.5], "evidence_list": [evidence],
         "signature": "", **dict(tx),
     }
@@ -158,6 +158,8 @@ def block_line(header=(), tx=(), **fields):
      pytest.param(block_line(tx={"cred_list": [[1]]}), id="cred_list-entry-array"),
      pytest.param(block_line(header={"gen_time": 2**64}), id="gen_time-beyond-64-bits"),
      pytest.param(block_line(header={"ctr": True}), id="ctr-bool"),
+     pytest.param(block_line(tx={"seq": 2**63}), id="seq-beyond-64-bits"),
+     pytest.param(block_line(tx={"seq": "1"}), id="seq-string"),
      pytest.param('{"type": "registry", "keys": {"n": 5}}', id="registry-key-number"),
      pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deeply")],
 )
@@ -198,7 +200,7 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     )
     gen_time = chain.tip.header.gen_time + 1
     for salt in range(200):
-        tx = build_transaction(outsider, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        tx = build_transaction(outsider, gen_time, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
         forged, _ = propose(chain, outsider, gen_time, [tx], widened)
         if forged is not None:
             break
@@ -224,9 +226,9 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
     leader, late = keys_[0], keys_[-1]
     assert late.node_id not in ctx.members_at(1)
     chain = Chain.genesis()
-    early = build_transaction(late, {}, {"10.0.0.1": 0.1})
+    early = build_transaction(late, 1, {}, {"10.0.0.1": 0.1})
     for salt in range(200):
-        own = build_transaction(leader, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        own = build_transaction(leader, 1, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
         forged, _ = propose(chain, leader, 1, [own, early], ctx)
         if forged is not None:
             break
@@ -238,6 +240,34 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
     capsys.readouterr()
     assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
     assert '"reason": "tx-invalid"' in capsys.readouterr().out
+
+
+def test_verify_rejects_an_export_that_replays_a_transaction(tiny_config, tmp_path, capsys):
+    """A member leads a block, valid in every other respect, on the tip of an
+    honest export that commits again the first transaction of that export:
+    the replay rule makes ``verify`` exit 3."""
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    chain_path = out / "chain.jsonl"
+    blocks, registry = import_chain(str(chain_path))
+    keys_, ctx = membership(load_config(str(config)))
+    chain = Chain.genesis()
+    for b in blocks[1:]:
+        chain = chain.extended(b, 0.0)
+    first = next(tx for b in blocks for tx in b.transactions)
+    start = chain.tip.header.gen_time + 1
+    replay = next(
+        block
+        for gen_time in range(start, start + 50)
+        for key in keys_
+        if (block := propose(chain, key, gen_time, [first], ctx)[0]) is not None
+    )
+
+    export_chain(chain.extended(replay, 0.0), registry, str(chain_path))
+    capsys.readouterr()
+    assert main(["verify", "--chain", str(chain_path), "--config", str(config)]) == EXIT_VERIFY
+    assert f'"block": {len(blocks)}, "reason": "tx-invalid"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -371,30 +401,30 @@ def test_baseline_scenario_reaches_full_recall_by_round_30(tmp_path):
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "68da337ca388d7dd56c3bdb0bcd232003397eeedd6f6033413c19d2d3a094427",
-        "34d65b9fdb9dd526f100fc72847fe3ff3d453050b94f265826c2142d09f713ba",
+        "e66cdb80d00d93670148bac9e01e55b4c2fb603be4976a8da67113c3f030d67f",
+        "9f2c73b03da1ee56fb7546e84917a3ab806b12dbe1d6df92fb4eeb53a988bd63",
     ),
     "collusion": (
-        "955d0a65b3b4fd699bacc75371421acef3eda86ce01e8e6f40ce44b90af02d3d",
-        "afb84b8cbb80a44236a25404ea63368d341bf1d0ac7161619fa88605ce97aba0",
+        "5b0c4b7f9561a99b2eb4246a0bf21ea07473998e14d55864cb94abc4f238913a",
+        "8532424e4c93a046d1915d42446b64205d260c305e4b8afd960d1e36cb2919d2",
     ),
     "sybil": (
-        "f1f27333266ee5589ad64d6093f9b0e4c3ed91b884adf1c57c3b56d460fb81d3",
-        "e20e61d0b518df27f3ab2529353472e35a4f32fbc34356bb19491effeca1bdec",
+        "75bb1502f44548af8a0bd995057f73e143ca10cc5800efa49b064ace7cc68b54",
+        "32e0a67c223fd560ee8ebd66b599ddd7cb0f567152b48128f96395e434d521d0",
     ),
     "betrayal": (
-        "fa2ae85273c94e651629a8b89b58e98ee3f1beae58df0298d6c2909cc8c654fb",
-        "30922edde8d9f1aacbc8f1431c1c38c0be1b352c8fe767fdbd0f6ac0da9347bf",
+        "5dea5a7434b4fe210e4b4b288c09dce6d435187154f3bd475c8ab6776ce25cbc",
+        "94a1c7a1627ce5e93af5aa274c5670b68b942a2baf328f9aa5aad9eb3320271b",
     ),
     "hard_lottery": (
-        "fde8e7f08be8c13660a52b400c83f041b3a42f96e99356992f7810e5375581d1",
-        "22a2e67ee10c6623a15ac47a42e59bb8a40ffabe7e036e50b6c1d5100d554708",
+        "c586cb08354f677ade1187cb8ab74c43b4d0e24c3b2b8757fb7729430601d9d5",
+        "d3e829e280b9388e660c1effab1efc71112c413e47e2f0d17030ff22a1dbd3f9",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: about 25 of the 28 mine calls
-# exhaust q_max, three blocks are found and two of them compete in round 7,
-# so the export pins the exhaustion path, forks and late deliveries.
+# A hard lottery on a lossy, delayed network: 25 of the 27 mine calls exhaust
+# q_max and two blocks are found, in rounds 8 and 10, each delivered a round
+# late, so the export pins the exhaustion path and late deliveries.
 HARD_LOTTERY = {
     "schema_version": 1,
     "rounds": 12,
@@ -552,3 +582,28 @@ def test_verify_of_a_fuzzed_export_line_ends_in_a_documented_exit_code(
     )
     rc = main(["verify", "--chain", str(fuzzed), "--config", str(root / "config.json")])
     assert rc in _DOCUMENTED_EXITS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_of_an_export_with_a_changed_or_missing_seq_exits_3(verified_export, data):
+    """A transaction's ``seq`` is read as a 64-bit integer and is signed, so
+    any other JSON value in its place, or none, fails verification."""
+    root, _, lines = verified_export
+    i = data.draw(
+        st.sampled_from([j for j, v in enumerate(lines) if v.get("transactions")]),
+        label="line",
+    )
+    line = json.loads(json.dumps(lines[i]))
+    tx = data.draw(st.sampled_from(line["transactions"]), label="transaction")
+    seq = tx.pop("seq")
+    if not data.draw(st.booleans(), label="delete"):
+        tx["seq"] = data.draw(
+            _JSON_VALUES.filter(lambda v: not (type(v) is int and v == seq)), label="seq"
+        )
+    fuzzed = root / "fuzzed-seq.jsonl"
+    fuzzed.write_text(
+        "".join(json.dumps(line if j == i else v) + "\n" for j, v in enumerate(lines))
+    )
+    rc = main(["verify", "--chain", str(fuzzed), "--config", str(root / "config.json")])
+    assert rc == EXIT_VERIFY

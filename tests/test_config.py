@@ -3,12 +3,16 @@
 import copy
 import json
 import math
+import runpy
+import time
 from pathlib import Path
 
 import pytest
 
 from cidnsim.cli import EXIT_CONFIG, main
-from cidnsim.config import ConfigError, config_from_dict, load_config
+from cidnsim.config import MAX_NODES, ConfigError, config_from_dict, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = {
     "schema_version": 1,
@@ -96,10 +100,43 @@ def test_sybil_section_expands_fake_identities():
 
 
 def test_bundled_scenarios_parse():
-    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     for name in ("baseline_honest", "betrayal", "sybil", "collusion"):
-        config = load_config(str(scenarios / f"{name}.json"))
+        config = load_config(str(ROOT / "scenarios" / f"{name}.json"))
         assert config.rounds > 0
+
+
+def test_benchmark_workload_configs_parse():
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    for name in workloads["WORKLOADS"]:
+        for d in workloads["configs_for"](name, 0):
+            assert config_from_dict(d).rounds > 0
+
+
+def test_the_node_count_is_bounded():
+    """Each node costs a key before any work starts, so a config may define
+    at most MAX_NODES, counting the fakes of the sybil section."""
+    assert len(config_from_dict(variant(sybil={"n_fakes": MAX_NODES - 2})).nodes) == MAX_NODES
+    for d in (
+        variant(sybil={"n_fakes": MAX_NODES - 1}),
+        variant(sybil={"n_fakes": MAX_NODES + 1}),
+        variant(nodes=[{"fp": 0.02}] * (MAX_NODES + 1)),
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(d)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_small_config_asking_for_a_billion_fakes_exits_1_at_once(command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(variant(sybil={"n_fakes": 10**9})))
+    assert path.stat().st_size < 1000
+    rest = ["--out", str(tmp_path / "out")] if command == "run" else [
+        "--chain", str(tmp_path / "chain.jsonl")
+    ]
+    started = time.perf_counter()
+    assert main([command, "--config", str(path), *rest]) == EXIT_CONFIG
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 @pytest.mark.parametrize(

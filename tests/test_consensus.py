@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from scipy.stats import entropy as scipy_entropy
 
 from cidnsim import consensus as consensus_module
 from cidnsim.chain import Chain, Transaction, build_transaction, hash_block
-from cidnsim.config import NetParams
+from cidnsim.config import NetParams, load_config
 from cidnsim.consensus import (
     ConsensusParams,
     Reason,
@@ -34,6 +35,7 @@ from cidnsim.consensus import _mining_hash
 from cidnsim.encoding import enc_int, enc_list
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.node import Behavior, Node, RuntimeContext
+from cidnsim.simulation import Simulation
 from cidnsim.trust import TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
 
@@ -248,7 +250,9 @@ def _salted_block(key, ctx, chain, trusts, gen_time=1):
     # the eligibility lottery is a deterministic hash draw, so nudge the
     # payload until this leader qualifies
     for salt in range(200):
-        tx = build_transaction(key, {}, {h: t - salt * 1e-9 for h, t in trusts.items()})
+        tx = build_transaction(
+            key, gen_time, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
+        )
         block, _ = propose(chain, key, gen_time, [tx], ctx)
         if block is not None:
             return block
@@ -273,9 +277,9 @@ def _one_block_parent(leader, other, ctx, trusts):
     list of ``leader``, so a proposal without its own transaction draws its
     stake from the chain."""
     chain = Chain.genesis()
-    prior = build_transaction(leader, {other.node_id: 0.9}, trusts)
+    prior = build_transaction(leader, 1, {other.node_id: 0.9}, trusts)
     for salt in range(200):
-        tx = build_transaction(other, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
+        tx = build_transaction(other, 1, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
         block, _ = propose(chain, other, 1, [tx, prior], ctx)
         if block is not None:
             return chain.extended(block, 0.0)
@@ -307,9 +311,9 @@ def test_every_proposed_block_validates_on_its_parent(
     )
     txs = []
     if own_tx:
-        txs.append(build_transaction(leader, {other.node_id: 0.7}, host_trusts))
+        txs.append(build_transaction(leader, gen_time, {other.node_id: 0.7}, host_trusts))
     if peer_tx:
-        txs.append(build_transaction(other, {leader.node_id: 0.6}, {"h0": 0.2}))
+        txs.append(build_transaction(other, gen_time, {leader.node_id: 0.6}, {"h0": 0.2}))
     if reverse:
         txs.reverse()
     block, attempts = propose(chain, leader, gen_time, txs, ctx)
@@ -336,7 +340,7 @@ def test_a_leader_with_zero_stake_proposes_nothing_and_mines_nothing(monkeypatch
         chain, leader.node_id, ctx.members_at(1), ctx.initial_trust
     )
     for salt in range(200):
-        tx = build_transaction(leader, {other.node_id: 0.5 - salt * 1e-9}, {})
+        tx = build_transaction(leader, 1, {other.node_id: 0.5 - salt * 1e-9}, {})
         payload = enc_list([tx], Transaction.encode)
         eligible, _ = check_eligibility(
             leader.node_id, PARAMS.d_cred, avg, chain.tip_hash, payload
@@ -373,9 +377,9 @@ def test_a_transaction_signed_outside_the_membership_is_invalid():
     key, newcomer = key_of("consensus-leader"), key_of("consensus-newcomer")
     ctx = _simple_context([key, newcomer])
     chain = Chain.genesis()
-    early = build_transaction(newcomer, {}, {"h0": 0.2})
+    early = build_transaction(newcomer, 1, {}, {"h0": 0.2})
     for salt in range(200):
-        own = build_transaction(key, {}, {"h0": 0.99 - salt * 1e-9})
+        own = build_transaction(key, 1, {}, {"h0": 0.99 - salt * 1e-9})
         block, _ = propose(chain, key, 1, [own, early], ctx)
         if block is not None:
             break
@@ -384,6 +388,56 @@ def test_a_transaction_signed_outside_the_membership_is_invalid():
     assert validate_block(block, chain, ctx)[:2] == (True, Reason.OK)
     ctx.members_at = _simple_context([key]).members_at
     assert validate_block(block, chain, ctx) == (False, Reason.TX_INVALID, 0.0)
+
+
+def test_a_transaction_replayed_on_the_honest_tip_is_invalid(monkeypatch):
+    """After the ``baseline_honest`` run a member proposes, on the honest tip,
+    a block whose only transaction is node 1's first committed one, which
+    would put node 1's old trust lists back on chain.  The replay rule
+    rejects it, and it is the only rule the block breaks."""
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "baseline_honest.json"
+    sim = Simulation(load_config(str(scenario)))
+    tip = sim.run().chain
+    ctx = sim.ctx.validation_context
+    signer = sim.keys[1].node_id
+    first = next(tx for b in tip.blocks for tx in b.transactions if tx.ids_id == signer)
+    assert tip.latest_tx[signer].seq > first.seq
+    start = tip.tip.header.gen_time + 1
+    replay = next(
+        block
+        for gen_time in range(start, start + 50)
+        for key in sim.keys
+        if (block := propose(tip, key, gen_time, [first], ctx)[0]) is not None
+    )
+    assert validate_block(replay, tip, ctx) == (False, Reason.TX_INVALID, 0.0)
+    monkeypatch.setattr(Chain, "is_new", lambda chain, tx: True)
+    assert validate_block(replay, tip, ctx)[:2] == (True, Reason.OK)
+
+
+@pytest.mark.parametrize("seq", [1, 2])
+def test_a_transaction_at_or_below_its_signers_last_is_invalid(seq):
+    """Once a signer's transaction of seq 2 is committed, a block that
+    commits its older transaction (seq 1), or another of seq 2, is
+    rejected, so committed lists are never rolled back; a later one is
+    accepted.  A block carries at most one transaction per signer, so each
+    is checked against the parent alone."""
+    key = key_of("consensus-leader")
+    ctx = _simple_context([key])
+    genesis = Chain.genesis()
+    newer = _honest_block(key, ctx, genesis, gen_time=2)
+    ok, _, weight = validate_block(newer, genesis, ctx)
+    chain = genesis.extended(newer, weight)
+    assert ok and newer.transactions[0].seq == 2
+
+    stale = build_transaction(key, seq, {}, {"h0": 0.9})
+    later = build_transaction(key, 3, {}, {"h0": 0.8})
+    for txs, expected in (
+        ([stale], (False, Reason.TX_INVALID)),
+        ([later], (True, Reason.OK)),
+        ([later, build_transaction(key, 4, {}, {"h0": 0.9})], (False, Reason.TX_ORDER)),
+    ):
+        block, _ = propose(chain, key, 3, txs, ctx)  # a lone member always wins
+        assert validate_block(block, chain, ctx)[:2] == expected
 
 
 @pytest.mark.parametrize("mutate,expected", MUTATION_CLASSES)

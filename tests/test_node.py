@@ -37,7 +37,7 @@ from cidnsim.node import Behavior, Challenge, Node, RuntimeContext
 from cidnsim.simulation import Simulation, key_for
 from cidnsim.trust import UNSURE, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
-from oracles import replay_check
+from oracles import last_seqs, replay_check
 
 TP = TrustParams(
     forgetting=0.9,
@@ -329,58 +329,69 @@ def test_incremental_fork_choice_tracks_the_best_leaf(tree):
 
 @st.composite
 def committing_trees(draw):
-    """A block tree whose blocks carry random subsets of a small pool of
-    transactions, so one transaction sits in blocks at several heights and
-    on several branches; and a delivery order per replica, cut into rounds."""
+    """A block tree whose blocks each carry one transaction of a small pool
+    signed by one node, with sequence numbers that may repeat or fall, so a
+    transaction sits in blocks at several heights and on several branches
+    and some blocks replay or roll back; and a delivery order per replica,
+    cut into rounds."""
     n = draw(st.integers(1, 8))
+    seqs = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
     parents = [draw(st.integers(-1, i - 1)) for i in range(n)]
-    payloads = [draw(st.sets(st.integers(0, 3), min_size=1)) for _ in range(n)]
+    payloads = [draw(st.integers(0, 3)) for _ in range(n)]
     deliveries = []
     for _ in range(2):
         order = draw(st.permutations(range(n)))
         cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=3)))
         deliveries.append((order, cuts))
-    return parents, payloads, deliveries
+    return seqs, parents, payloads, deliveries
 
 
 @settings(max_examples=30, deadline=None)
 @given(tree=committing_trees())
 def test_the_store_commit_check_agrees_with_a_scan_of_the_replica(tree):
     """Two replicas sharing one block store receive the same tree in
-    different orders; after every round, a transaction is committed by the
-    store's index exactly when a block of the replica's chain holds it, and
-    only those leave the pending set."""
-    parents, payloads, deliveries = tree
+    different orders.  After every round, against a scan of the blocks: a
+    delivered block whose parent was admitted is admitted exactly when its
+    transaction's sequence number is above the signer's last on the parent,
+    the replica's state holds each signer's last transaction, and exactly
+    the pending transactions at or below the replica's last number leave."""
+    seqs, parents, payloads, deliveries = tree
     first = make_node(Behavior(), n_nodes=1)
     replicas = [first, Node(first.ctx, 1, first.key, Behavior(), ["10.9.0.1"])]
     store, vctx = first.ctx.block_store, first.ctx.validation_context
-    pool = [build_transaction(first.key, {}, {"10.9.0.1": 0.9 + i / 100}) for i in range(4)]
+    pool = [
+        build_transaction(first.key, seq, {}, {"10.9.0.1": 0.9 + i / 100})
+        for i, seq in enumerate(seqs)
+    ]
     chains, blocks = [], []
-    for i, (parent, payload) in enumerate(zip(parents, payloads)):
+    for i, (parent, j) in enumerate(zip(parents, payloads)):
         base = store.genesis if parent < 0 else chains[parent]
-        block, _ = propose(base, first.key, i + 1, [pool[j] for j in payload], vctx)
+        block, _ = propose(base, first.key, i + 1, [pool[j]], vctx)
         assert block is not None  # a lone member is always eligible
         blocks.append(block)
         chains.append(base.extended(block, 0.0))
 
+    signer = first.node_id
     for node, (order, cuts) in zip(replicas, deliveries):
         for lo, hi in zip([0] + cuts, cuts + [len(order)]):
             node._ingest_blocks([blocks[i] for i in order[lo:hi]])
-            on_chain = {t.tx_id for b in node.replica.blocks for t in b.transactions}
-            for tx in pool:
-                assert store.commits(node.replica, tx.tx_id) == (tx.tx_id in on_chain)
+            for i in order[:hi]:
+                parent = node._received.get(blocks[i].header.prev_hash)
+                if parent is not None:
+                    new = pool[payloads[i]].seq > last_seqs(parent).get(signer, 0)
+                    assert (hash_block(blocks[i]) in node._received) == new
+            assert replay_check(node.replica)
+            last = last_seqs(node.replica).get(signer, 0)
             node.pending_txs = {str(j): tx for j, tx in enumerate(pool)}
             node._drop_committed_pending()
-            assert {tx.tx_id for tx in node.pending_txs.values()} == (
-                {tx.tx_id for tx in pool} - on_chain
-            )
+            assert list(node.pending_txs.values()) == [tx for tx in pool if tx.seq > last]
 
 
 def test_transaction_verdict_is_computed_once_and_keyed_on_every_field(monkeypatch):
     key = key_for(1, 0)
     registry = KeyRegistry()
     registry.register(key.public_bytes)
-    tx = build_transaction(key, {}, {"10.0.0.1": 0.7})
+    tx = build_transaction(key, 1, {}, {"10.0.0.1": 0.7})
     calls = []
     verify = consensus_module.verify_transaction
     monkeypatch.setattr(
@@ -485,8 +496,8 @@ def test_invalid_reason_counts_add_up_to_invalid_blocks():
 def test_a_run_holds_each_encoding_and_list_map_once():
     """After a run no stored block keeps its payload bytes, each transaction
     keeps one bytes value, its encoding, and every chain that commits a
-    transaction holds that transaction's own peer and host maps, so forks
-    that commit the same transaction share them."""
+    transaction holds that transaction itself as its signer's latest, so
+    forks that commit the same transaction share it and its maps."""
     sim = Simulation(small_config())
     sim.run()
     chains = [c for _, c in sim.ctx.block_store._entries.values() if c is not None]
@@ -503,7 +514,6 @@ def test_a_run_holds_each_encoding_and_list_map_once():
                 if k not in tx_fields and isinstance(v, bytes)
             ]
             assert len(held) == 1 and held[0] is tx.encode()
-            assert chain.latest_cred[tx.ids_id] is tx.peer_creds()
-            assert chain.latest_trust[tx.ids_id] is tx.host_trusts()
+            assert chain.latest_tx[tx.ids_id] is tx
             forks_of[id(tx)] += 1
     assert max(forks_of.values()) >= 2, "no transaction was committed on two forks"

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ def test_every_name_in_a_module_all_resolves(name):
         ("fork_experiment.py", ["--trials", "5"]),
         ("fairness_experiment.py", ["--nodes", "5", "--rounds", "50", "--seeds", "1"]),
         ("run_scenario.py", [str(ROOT / "scenarios" / "baseline_honest.json")]),
+        ("scaling_probe.py", ["--nodes", "3", "--rounds", "4"]),
     ],
 )
 def test_script_runs_to_completion(script, args, tmp_path):
@@ -42,6 +44,24 @@ def test_script_runs_to_completion(script, args, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_every_benchmark_hook_resolves_in_the_package():
+    """The benchmark's tracer wraps each function that ``TARGETS`` in
+    ``perfbench/layers.py`` names by module and attribute path, in every
+    module of its ``MODULES``; a renamed function or module would otherwise
+    fail only a traced benchmark run."""
+    layers = runpy.run_path(str(ROOT / "perfbench" / "layers.py"))
+    assert set(layers["MODULES"]) <= set(MODULES)
+
+    def resolves(module: str, path: str) -> bool:
+        obj = importlib.import_module(f"cidnsim.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        return callable(obj) or isinstance(obj, property)
+
+    unresolved = [t[0] for t in layers["TARGETS"] if not resolves(t[2], t[3])]
+    assert unresolved == []
 
 
 def test_run_and_verify_load_no_report_only_modules(tmp_path):
