@@ -9,6 +9,7 @@ deterministic order.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -117,14 +118,19 @@ def host_traffic(
     mislabels benign packets with probability fp and malicious ones with
     probability fn.  Returns (detected-normal count, total packets).
 
-    Two draws per packet, in this order: its class, then the detector's
-    verdict.
+    Packets are independent, so the count is Binomial(interval_len, q) with
+    q = p_mal*fn + (1-p_mal)*(1-fp).  It is drawn by skipping geometric gaps
+    between packets of the rarer label (Devroye 1986, ch. X): one draw per
+    packet of that label, plus at most one to find that no more follow.
     """
-    draw = rng.random
-    k = 0
-    for _ in range(interval_len):
-        if draw() < p_mal:
-            k += draw() < fn
-        else:
-            k += draw() >= fp
-    return k, interval_len
+    q = p_mal * fn + (1.0 - p_mal) * (1.0 - fp)
+    p = min(q, 1.0 - q)
+    rare, left = 0, interval_len if p > 0.0 else 0
+    log_miss = math.log1p(-p)
+    while left > 0:
+        gap = math.log(1.0 - rng.random()) / log_miss
+        if gap >= left:  # compared as a float: a subnormal p makes it inf
+            break
+        left -= int(gap) + 1
+        rare += 1
+    return (rare if q <= 0.5 else interval_len - rare), interval_len

@@ -396,35 +396,48 @@ def test_baseline_scenario_reaches_full_recall_by_round_30(tmp_path):
     assert float(rows[30]["blacklist_precision"]) == 1.0
 
 
+def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
+    """A host that is always malicious, watched by detectors with a subnormal
+    fn, has a subnormal chance of a normal label; its geometric gap overflows
+    to infinity and must end the interval, not reach ``int``."""
+    d = json.loads((SCENARIOS / "baseline_honest.json").read_text())
+    d["hosts"][0]["p_mal"] = 1.0
+    for node in d["nodes"]:
+        node["fn"] = 1e-310
+    config = tmp_path / "subnormal.json"
+    config.write_text(json.dumps(d))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 # SHA-256 of the exports of the four bundled scenarios and of HARD_LOTTERY.  A
 # change that alters them changes simulated behaviour, and must say so where
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "e66cdb80d00d93670148bac9e01e55b4c2fb603be4976a8da67113c3f030d67f",
-        "9f2c73b03da1ee56fb7546e84917a3ab806b12dbe1d6df92fb4eeb53a988bd63",
+        "96bcba975eacbbd47f183fccb92deda3a538481b33496350bf463d163f49e5ed",
+        "f697d5daed4dfcf066b655c2fd7196177315e6918945e2cc8e193bacf6e2fe53",
     ),
     "collusion": (
-        "5b0c4b7f9561a99b2eb4246a0bf21ea07473998e14d55864cb94abc4f238913a",
-        "8532424e4c93a046d1915d42446b64205d260c305e4b8afd960d1e36cb2919d2",
+        "1cf56fd6eeaa0a0f1e485dac6c92639d7ce29618a860f7ff19ae2eef210e8c3b",
+        "cac0d7bc514373986c6ada22b1d31658159be510ee1ac4f58f36e6be7a7ea1a0",
     ),
     "sybil": (
-        "75bb1502f44548af8a0bd995057f73e143ca10cc5800efa49b064ace7cc68b54",
-        "32e0a67c223fd560ee8ebd66b599ddd7cb0f567152b48128f96395e434d521d0",
+        "3b3388c8966a569ad6babd105a8b08ac0def49e6842c77ae5c91c506504b1838",
+        "4e955f616e02d782332e0e52d903238bd43ca6a7c6563286ea12221909726a70",
     ),
     "betrayal": (
-        "5dea5a7434b4fe210e4b4b288c09dce6d435187154f3bd475c8ab6776ce25cbc",
-        "94a1c7a1627ce5e93af5aa274c5670b68b942a2baf328f9aa5aad9eb3320271b",
+        "90c9b3ea87fd7bf8b752fbd65757e514f263c20087f5653ef5815cb71ceb97c7",
+        "e006215ff93561f6de0d7724c6bc688400a1020462e6619e40af6717973e4184",
     ),
     "hard_lottery": (
-        "c586cb08354f677ade1187cb8ab74c43b4d0e24c3b2b8757fb7729430601d9d5",
-        "d3e829e280b9388e660c1effab1efc71112c413e47e2f0d17030ff22a1dbd3f9",
+        "80ea64ff5783846c87fedbaac60ce5de65e0755a2f9b16fc43176de921482be7",
+        "91a89ee6c4e8b4fe483c8758cdfac19de4899ee42ac93643bc74bd359b395132",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: 25 of the 27 mine calls exhaust
-# q_max and two blocks are found, in rounds 8 and 10, each delivered a round
-# late, so the export pins the exhaustion path and late deliveries.
+# A hard lottery on a lossy, delayed network: all 29 mine calls exhaust q_max
+# and no block is found, so the export pins the exhaustion path and the
+# monitoring and credibility columns of metrics.csv.
 HARD_LOTTERY = {
     "schema_version": 1,
     "rounds": 12,
@@ -505,20 +518,20 @@ def _paths(value, prefix=()):
         yield from _paths(item, prefix + (key,))
 
 
-def _fuzzed(data, doc):
-    """``doc`` with the value at one drawn path replaced by a drawn JSON value,
-    or, for a path inside an object or array, deleted."""
+def _fuzzed(data, doc, values=lambda path: _JSON_VALUES):
+    """``doc`` with the value at one drawn path replaced by a value drawn from
+    ``values(path)``, or, for a path inside an object or array, deleted."""
     doc = json.loads(json.dumps(doc))
     path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
     if not path:
-        return data.draw(_JSON_VALUES, label="document")
+        return data.draw(values(path), label="document")
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     if data.draw(st.booleans(), label="delete"):
         del parent[path[-1]]
     else:
-        parent[path[-1]] = data.draw(_JSON_VALUES, label="value")
+        parent[path[-1]] = data.draw(values(path), label="value")
     return doc
 
 
@@ -607,3 +620,80 @@ def test_verify_of_an_export_with_a_changed_or_missing_seq_exits_3(verified_expo
     )
     rc = main(["verify", "--chain", str(fuzzed), "--config", str(root / "config.json")])
     assert rc == EXIT_VERIFY
+
+
+# -- fuzz: one value of a small config replaced, then run ---------------------
+
+# Three rounds, four nodes (one a sybil fake) and at most 64 hash attempts per
+# mine call, so each case runs in milliseconds; the lottery is easy enough that
+# rounds 2 and 3 each see a proposal.  Host 1 is always malicious, so one
+# subnormal fn makes a subnormal rate of normal labels.
+SMALL_RUN = {
+    "schema_version": 1,
+    "rounds": 3,
+    "rng_seed": 2,
+    "trust": {
+        "forgetting": 0.9,
+        "severity": 1.0,
+        "cred_threshold": 0.8,
+        "initial_trust": 0.5,
+        "blacklist_threshold": 0.2,
+        "interval_len": 20,
+    },
+    "consensus": {"d_cred": 1.0, "d_stake": 2.0, "r_bits": 16, "q_max": 64, "t_cap": 16},
+    "network": {
+        "drop_prob": 0.1,
+        "delay_rounds": 0,
+        "challenge_prob": 0.5,
+        "challenge_priorities": "binary",
+    },
+    "hosts": [{"p_mal": 0.0}, {"p_mal": 1.0}],
+    "nodes": [
+        {"fp": 0.02, "fn": 0.02},
+        {"fp": 0.02, "fn": 0.02, "monitors": [0, 1]},
+        {"fp": 0.02, "fn": 0.02, "behavior": {"kind": "betrayal", "turn_round": 2}},
+    ],
+    "sybil": {"n_fakes": 1, "spawn_round": 1},
+}
+
+# Numbers stay at most 16, so no replacement makes rounds, q_max, n_fakes or
+# delays costly.  At least half the draws are numbers, and the edges of [0, 1]
+# (an always-malicious host, subnormal detector errors) come often.
+_RUN_NUMBERS = (
+    st.integers(-2, 16)
+    | st.floats(-2.0, 16.0)
+    | st.floats(0.0, 1.0)
+    | st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 1.0 - 2**-53, float("nan"), float("inf")])
+)
+_RUN_VALUES = _RUN_NUMBERS | st.recursive(
+    _RUN_NUMBERS | st.none() | st.booleans() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _run_values(path):
+    """An interval may hold up to 10^6 packets: its count costs one draw per
+    packet of the rarer label."""
+    if path and path[-1] == "interval_len":
+        return st.integers(1, 10**6) | _RUN_VALUES
+    return _RUN_VALUES
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run-fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(SMALL_RUN))
+    assert main(["run", "--config", str(config), "--out", str(root / "out")]) == EXIT_OK
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_of_a_fuzzed_config_ends_in_a_documented_exit_code(run_dir, data):
+    config = run_dir / "fuzzed-config.json"
+    config.write_text(json.dumps(_fuzzed(data, SMALL_RUN, _run_values)))
+    rc = main(["run", "--config", str(config), "--out", str(run_dir / "out")])
+    assert rc in _DOCUMENTED_EXITS

@@ -1,10 +1,12 @@
 """Deterministic message fabric and the traffic generator."""
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, chisquare
 
 from cidnsim.netsim import (
     KIND_BLOCK,
@@ -140,31 +142,65 @@ def test_host_traffic_rate_matches_mixture_model():
     assert total_k / (trials * 500) == pytest.approx(expected, abs=0.015)
 
 
-def reference_host_traffic(p_mal, fp, fn, interval_len, rng):
-    """The sampler written out: per packet, draw its class, then the detector."""
-    k = 0
-    for _ in range(interval_len):
-        malicious = rng.random() < p_mal
-        if malicious:
-            detected_normal = rng.random() < fn
-        else:
-            detected_normal = rng.random() >= fp
-        if detected_normal:
-            k += 1
-    return k, interval_len
+# Detector rates whose mixtures are about those of the benchmark's malicious
+# host (q 0.116), an even host (0.5) and its benign hosts (0.932).  fp != fn in
+# each, so a sampler that swaps them draws from another mixture.
+_RATES = [(0.9, 0.11, 0.03), (0.25, 0.4, 0.2), (0.05, 0.03, 0.21)]
 
 
+@pytest.mark.parametrize("p_mal, fp, fn", _RATES, ids=["q0.116", "q0.5", "q0.932"])
+@pytest.mark.parametrize("n", [50, 300, 10_000])
+def test_host_traffic_counts_follow_the_binomial(p_mal, fp, fn, n):
+    """Pearson chi-square of 500 seeded counts against Binomial(n, q), with
+    adjacent counts pooled until each bin expects at least five."""
+    q = p_mal * fn + (1 - p_mal) * (1 - fp)
+    samples = 500
+    rng = derived_rng(13, "binomial", n, q)
+    seen = Counter(host_traffic(p_mal, fp, fn, n, rng)[0] for _ in range(samples))
+    observed, expected, o, e = [], [], 0, 0.0
+    for k, mass in enumerate(binom.pmf(range(n + 1), n, q)):
+        o, e = o + seen[k], e + mass * samples
+        if e >= 5:
+            observed.append(o)
+            expected.append(e)
+            o, e = 0, 0.0
+    observed[-1] += o
+    expected[-1] += e
+    assert sum(observed) == samples
+    assert chisquare(observed, expected).pvalue > 1e-3
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     p_mal=st.floats(0.0, 1.0),
     fp=st.floats(0.0, 1.0),
     fn=st.floats(0.0, 1.0),
-    interval_len=st.integers(0, 300),
+    interval_len=st.integers(0, 10**4),
     seed=st.integers(0, 2**32),
 )
-def test_host_traffic_matches_the_reference_sampler(p_mal, fp, fn, interval_len, seed):
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    got = host_traffic(p_mal, fp, fn, interval_len, rng)
-    assert got == reference_host_traffic(p_mal, fp, fn, interval_len, ref_rng)
-    assert type(got[0]) is int
-    # same draws in the same order: both streams are left at the same point
-    assert rng.random() == ref_rng.random()
+# an always-malicious host and a subnormal fn: every geometric gap is inf
+@example(p_mal=1.0, fp=0.0, fn=1e-310, interval_len=50, seed=0)
+def test_host_traffic_draws_once_per_packet_of_the_rarer_label(
+    p_mal, fp, fn, interval_len, seed
+):
+    rng = CountingRandom(seed)
+    k, n = host_traffic(p_mal, fp, fn, interval_len, rng)
+    draws = rng.draws
+    assert type(k) is int and n == interval_len and 0 <= k <= n
+    again = random.Random(seed)
+    assert host_traffic(p_mal, fp, fn, interval_len, again) == (k, n)
+    assert again.random() == rng.random()
+    # the rarer label is alert when q > 1/2; a further draw may end the search
+    q = p_mal * fn + (1 - p_mal) * (1 - fp)
+    rarer = k if q <= 0.5 else n - k
+    assert rarer <= draws <= rarer + 1
