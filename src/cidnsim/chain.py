@@ -26,7 +26,6 @@ __all__ = [
     "Block",
     "Chain",
     "ChainError",
-    "block_id",
     "build_transaction",
     "verify_transaction",
     "hash_block",
@@ -268,10 +267,16 @@ class Block:
         return self.signed_bytes() + enc_bytes(self.leader_signature)
 
 
-def block_id(header: BlockHeader, payload: bytes) -> bytes:
-    """The id of a block: SHA-256 over its header without the id and its
-    encoded payload."""
-    return _sha256(header.encode_without_id() + payload)
+def _block_digest(header: BlockHeader, payload: bytes) -> bytes:
+    # the header's memoized encoding, less the id it leads with
+    return _sha256(header.encode()[len(header.block_id):] + payload)
+
+
+@_memoized
+def hash_block(b: Block) -> bytes:
+    """The block id: SHA-256 over the header without its id and the encoded
+    payload.  It covers neither the claimed id nor the leader signature."""
+    return _block_digest(b.header, b.payload_bytes())
 
 
 def make_block(
@@ -289,21 +294,15 @@ def make_block(
     )
     # the payload is encoded once: it fixes the id and is signed
     payload = unsigned.payload_bytes()
-    header = replace(unsigned.header, block_id=block_id(unsigned.header, payload))
-    return Block(header, txs, key.sign(header.encode() + payload))
-
-
-@_memoized
-def hash_block(b: Block) -> bytes:
-    """SHA-256 over the canonical encoding of header and payload (not the
-    leader signature)."""
-    return _sha256(b.header.encode() + b.payload_bytes())
+    bid = _block_digest(unsigned.header, payload)
+    header = replace(unsigned.header, block_id=bid)
+    return _with_memo(Block(header, txs, key.sign(header.encode() + payload)), hash_block=bid)
 
 
 def genesis_block() -> Block:
-    header = BlockHeader(ZERO_HASH, "", 0, ZERO_HASH, 0, 0.0)
-    empty = enc_list((), Transaction.encode)
-    return Block(replace(header, block_id=block_id(header, empty)), (), b"")
+    unsigned = Block(BlockHeader(ZERO_HASH, "", 0, ZERO_HASH, 0, 0.0), (), b"")
+    header = replace(unsigned.header, block_id=hash_block(unsigned))
+    return replace(unsigned, header=header)
 
 
 class Chain:

@@ -88,28 +88,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_IO
 
     try:
-        if args.parallel > 1:
-            import concurrent.futures
-
-            seeds = [config.rng_seed + i for i in range(args.parallel)]
-            with concurrent.futures.ProcessPoolExecutor() as pool:
-                futures = [
-                    pool.submit(
-                        _run_one,
-                        dataclasses.replace(config, rng_seed=s),
-                        os.path.join(args.out, f"seed-{s}"),
-                        args.verbose,
-                    )
-                    for s in seeds
-                ]
-                for fut, s in zip(futures, seeds):
-                    summary = fut.result()
-                    print(f"seed {s}: {summary['rounds']} rounds, "
-                          f"chain height {summary['chain_height']}")
-        else:
-            summary = _run_one(config, args.out, args.verbose)
-            print(f"{summary['rounds']} rounds, chain height "
-                  f"{summary['chain_height']}, outputs in {args.out}")
+        summary = _run_one(config, args.out, args.verbose)
+        print(f"{summary['rounds']} rounds, chain height "
+              f"{summary['chain_height']}, outputs in {args.out}")
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
@@ -238,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--verbose", action="store_true")
-    p_run.add_argument("--parallel", type=int, default=1,
-                       help="run K consecutive seeds in separate processes")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="re-validate an exported chain")

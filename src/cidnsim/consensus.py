@@ -20,7 +20,7 @@ from .chain import (
     Block,
     Chain,
     Transaction,
-    block_id,
+    hash_block,
     make_block,
     verify_transaction,
 )
@@ -326,8 +326,7 @@ def validate_block(
         return False, Reason.LINKAGE, 0.0
     if h.gen_time <= parent.tip.header.gen_time:
         return False, Reason.GEN_TIME, 0.0
-    payload = b.payload_bytes()
-    if h.block_id != block_id(h, payload):
+    if h.block_id != hash_block(b):
         return False, Reason.BLOCK_ID, 0.0
     leader_key = ctx.registry.get(h.leader_id)
     members = ctx.members_at(h.gen_time)
@@ -343,7 +342,8 @@ def validate_block(
         if not (tx.ids_id in members and parent.is_new(tx) and ctx.transaction_ok(tx)):
             return False, Reason.TX_INVALID, 0.0
     draw = _draw(
-        parent, h.prev_hash, h.leader_id, h.gen_time, payload, b.transactions, ctx,
+        parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),
+        b.transactions, ctx,
     )
     if draw is None:
         return False, Reason.ELIGIBILITY, 0.0

@@ -115,23 +115,24 @@ class BlockStore:
 
     Validity and the derived chain (with its score) are pure functions of
     the block and its parent, so each block is validated and extended once,
-    however many replicas receive it.  Entries are keyed on the full block
-    identity: ``hash_block`` leaves the leader signature out, and a copy with
-    a forged signature must not shadow the genuine block.  The parent is
-    named by ``prev_hash``; every parent with that hash derives the same
-    state, so one entry serves all of them.
+    however many replicas receive it.  Entries are keyed on every byte of the
+    block: its id (``hash_block``), the id its header claims and the leader
+    signature.  The id leaves the other two out, so a copy that forges
+    either must not shadow the genuine block.  The parent is named by
+    ``prev_hash``; every parent with that id derives the same state, so one
+    entry serves all of them.
     """
 
     def __init__(self) -> None:
         self.genesis = Chain.genesis()
-        self._entries: dict[tuple[bytes, bytes], tuple[str, Chain | None]] = {}
+        self._entries: dict[tuple[bytes, bytes, bytes], tuple[str, Chain | None]] = {}
 
     def admit(
         self, b: Block, parent: Chain, ctx: ValidationContext
     ) -> tuple[str, Chain | None]:
         """The reason code of ``b`` on ``parent`` and, when valid, the chain
         it derives; validating and extending only on first sight."""
-        key = (hash_block(b), b.leader_signature)
+        key = (hash_block(b), b.header.block_id, b.leader_signature)
         entry = self._entries.get(key)
         if entry is None:
             ok, reason, weight = validate_block(b, parent, ctx)
@@ -193,8 +194,8 @@ class Node:
         }
         self.evidence: dict[str, EvidenceRecord] = {}
 
-        # the chains of the valid blocks this replica has received, by tip
-        # hash; they are the shared block store's
+        # the chains of the valid blocks this replica has received, by block
+        # id; they are the shared block store's
         genesis = ctx.block_store.genesis
         self._received: dict[bytes, Chain] = {genesis.tip_hash: genesis}
         self._leaves: set[bytes] = {genesis.tip_hash}
@@ -306,8 +307,9 @@ class Node:
             remaining: list[Block] = []
             for b in queue:
                 bh = hash_block(b)
-                if bh in self._received:
-                    continue  # duplicate
+                known = self._received.get(bh)
+                if known is not None and known.tip == b:
+                    continue  # duplicate; a forged copy of a known block is validated
                 parent = self._received.get(b.header.prev_hash)
                 if parent is None:
                     remaining.append(b)

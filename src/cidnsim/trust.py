@@ -47,6 +47,10 @@ class _Unsure:
 
 UNSURE = _Unsure()
 
+# the most packets a monitoring interval may hold: each node draws a
+# monitored host's traffic once per packet of its rarer label, every round
+MAX_INTERVAL_LEN = 10**6
+
 
 @dataclass(frozen=True)
 class TrustParams:
@@ -85,9 +89,12 @@ class TrustParams:
             raise ValueError(
                 f"blacklist_threshold must be in (0,1), got {self.blacklist_threshold}"
             )
-        if not (isinstance(self.interval_len, int) and self.interval_len > 0):
+        if not (
+            isinstance(self.interval_len, int) and 0 < self.interval_len <= MAX_INTERVAL_LEN
+        ):
             raise ValueError(
-                f"interval_len must be a positive integer, got {self.interval_len}"
+                f"interval_len must be an integer in [1, {MAX_INTERVAL_LEN}], "
+                f"got {self.interval_len}"
             )
 
 

@@ -4,13 +4,14 @@ the large duality fuzz in the acceptance gate."""
 
 import dataclasses
 
-from cidnsim.chain import Block, block_id, build_transaction
+from cidnsim.chain import Block, build_transaction, hash_block
 from cidnsim.consensus import Reason
 
 MUTATION_CLASSES = [
     ("prev_hash", Reason.LINKAGE),
     ("gen_time", Reason.GEN_TIME),
     ("block_id", Reason.BLOCK_ID),
+    ("payload", Reason.BLOCK_ID),
     ("leader_id", Reason.UNKNOWN_LEADER),
     ("tx_order", Reason.TX_ORDER),
     ("tx_invalid", Reason.TX_INVALID),
@@ -26,12 +27,17 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
     h = block.header
 
     def reheader(transactions=block.transactions, **changes):
-        body = dataclasses.replace(block, transactions=transactions)
-        header = dataclasses.replace(h, **changes)
-        header = dataclasses.replace(
-            header, block_id=block_id(header, body.payload_bytes())
+        unsigned = dataclasses.replace(
+            block, header=dataclasses.replace(h, **changes), transactions=transactions
         )
-        return dataclasses.replace(body, header=header)
+        header = dataclasses.replace(unsigned.header, block_id=hash_block(unsigned))
+        return dataclasses.replace(unsigned, header=header)
+
+    def with_other_tx(reverse=False):
+        tx = build_transaction(other_key, 1, {}, {"h0": 0.9})
+        return tuple(
+            sorted(block.transactions + (tx,), key=lambda t: t.ids_id, reverse=reverse)
+        )
 
     if how == "prev_hash":
         return dataclasses.replace(
@@ -44,13 +50,13 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
         return dataclasses.replace(
             block, header=dataclasses.replace(h, block_id=flipped)
         )
+    if how == "payload":
+        # the genuine header and signature over another transaction tuple
+        return dataclasses.replace(block, transactions=with_other_tx())
     if how == "leader_id":
         return reheader(leader_id="f" * 64)
     if how == "tx_order":
-        tx2 = build_transaction(other_key, 1, {}, {"h0": 0.9})
-        return reheader(
-            tuple(sorted(block.transactions + (tx2,), key=lambda t: t.ids_id, reverse=True))
-        )
+        return reheader(with_other_tx(reverse=True))
     if how == "tx_invalid":
         good = block.transactions[0]
         bad = dataclasses.replace(good, trust_list=(2.0,) * max(1, len(good.trust_list)))

@@ -21,7 +21,6 @@ from cidnsim.chain import (
     EvidenceRecord,
     Transaction,
     block_from_dict,
-    block_id,
     block_to_dict,
     build_transaction,
     export_chain,
@@ -209,9 +208,13 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
     assert len(calls) == 1
     monkeypatch.undo()
     payload = b.payload_bytes()
-    assert b.header.block_id == block_id(b.header, payload)
-    # the block keeps its fields only, not the payload it was built from
-    assert vars(b).keys() == {f.name for f in dataclasses.fields(b)}
+    expected = hashlib.sha256(b.header.encode_without_id() + payload).digest()
+    assert b.header.block_id == expected
+    # the block keeps its fields and its memoized id only, not the payload it
+    # was built from
+    fields = {f.name for f in dataclasses.fields(b)}
+    assert [v for k, v in vars(b).items() if k not in fields] == [b.header.block_id]
+    assert hash_block(b) is b.header.block_id
 
 
 def test_block_round_trip(registry_and_keys):
@@ -228,8 +231,8 @@ def test_block_id_depends_on_every_field(registry_and_keys):
     _, keys = registry_and_keys
     tx = build_transaction(keys[0], 1, {}, {"10.0.0.1": 0.5})
     header = BlockHeader(ZERO_HASH, "leader", 7, b"\x01" * 32, 9, 0.5)
-    payload = Block(header, (tx,), b"").payload_bytes()
-    reference = block_id(header, payload)
+    block = Block(header, (tx,), b"")
+    reference = hash_block(block)
     for change in [
         {"leader_id": "other"},
         {"gen_time": 8},
@@ -237,10 +240,13 @@ def test_block_id_depends_on_every_field(registry_and_keys):
         {"ctr": 10},
         {"target_v": 0.75},
     ]:
-        assert block_id(dataclasses.replace(header, **change), payload) != reference
-    assert block_id(header, Block(header, (), b"").payload_bytes()) != reference
-    # the id does not cover itself, so a header carrying it hashes the same
-    assert block_id(dataclasses.replace(header, block_id=reference), payload) == reference
+        changed = dataclasses.replace(block, header=dataclasses.replace(header, **change))
+        assert hash_block(changed) != reference
+    assert hash_block(dataclasses.replace(block, transactions=())) != reference
+    # the id covers neither itself nor the signature, so the signed block that
+    # carries it has the same id
+    signed = Block(dataclasses.replace(header, block_id=reference), (tx,), b"signature")
+    assert hash_block(signed) == reference
 
 
 # -- chain state ------------------------------------------------------------

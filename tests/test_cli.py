@@ -107,6 +107,26 @@ def test_verify_accepts_honest_export(tiny_config, tmp_path):
     assert rc == EXIT_OK
 
 
+def test_the_export_links_each_block_to_its_parent_by_the_printed_id(
+    tiny_config, tmp_path, capsys
+):
+    """An auditor follows the chain by the fields each line prints: each
+    block's ``prev_hash`` is the previous line's ``block_id``, and ``verify``
+    names the last ``block_id`` as the tip."""
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    main(["run", "--config", str(config), "--out", str(out)])
+    lines = (out / "chain.jsonl").read_text().splitlines()[1:]
+    headers = [json.loads(line)["header"] for line in lines]
+    assert len(headers) > 2
+    for parent, child in zip(headers, headers[1:]):
+        assert child["prev_hash"] == parent["block_id"]
+    capsys.readouterr()
+    rc = main(["verify", "--chain", str(out / "chain.jsonl"), "--config", str(config)])
+    assert rc == EXIT_OK
+    assert f"tip {headers[-1]['block_id'][:16]}" in capsys.readouterr().out
+
+
 def test_verify_rejects_tampered_export(tiny_config, tmp_path):
     config, _ = tiny_config
     out = tmp_path / "out"
@@ -414,30 +434,31 @@ def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "96bcba975eacbbd47f183fccb92deda3a538481b33496350bf463d163f49e5ed",
-        "f697d5daed4dfcf066b655c2fd7196177315e6918945e2cc8e193bacf6e2fe53",
+        "268a49a0ce0a642b850377b3416374e18498cdea584d5b07316a5841fc5135bf",
+        "094e6c20a4bff4ae014dfa1d5a2dacd1bffdfaef225c4f6a4c36c96b94fe028b",
     ),
     "collusion": (
-        "1cf56fd6eeaa0a0f1e485dac6c92639d7ce29618a860f7ff19ae2eef210e8c3b",
-        "cac0d7bc514373986c6ada22b1d31658159be510ee1ac4f58f36e6be7a7ea1a0",
+        "d9f8524b3738c9e344c9dba15c96e05a32af5281d8ff4f92eb82eb3de9a89b74",
+        "b484b45d3c5d94b23163e981ba805e88312835889d4710a8cd62c6291369bca7",
     ),
     "sybil": (
-        "3b3388c8966a569ad6babd105a8b08ac0def49e6842c77ae5c91c506504b1838",
-        "4e955f616e02d782332e0e52d903238bd43ca6a7c6563286ea12221909726a70",
+        "2eb826d748f8a075bb03077c12774d0b546480ccec4571aa72a1cf5928df449e",
+        "9aac1c9a840afbcdc5b8cc6e9406d9eab1fa768ece1905b85cbcfc1ca70590e0",
     ),
     "betrayal": (
-        "90c9b3ea87fd7bf8b752fbd65757e514f263c20087f5653ef5815cb71ceb97c7",
-        "e006215ff93561f6de0d7724c6bc688400a1020462e6619e40af6717973e4184",
+        "c6ef2661d334aab7366b309796f03eee07c44fdedd4808fcf507b1350a69f62c",
+        "e07555756b307af16819449f872e775e97c2e9cbb82037608fc3e4074e3afb1f",
     ),
     "hard_lottery": (
-        "80ea64ff5783846c87fedbaac60ce5de65e0755a2f9b16fc43176de921482be7",
-        "91a89ee6c4e8b4fe483c8758cdfac19de4899ee42ac93643bc74bd359b395132",
+        "8da743c5ab2cccf1fe31782d8be14b712a326470bc32a718a594442c7dd9663f",
+        "3bcc56cb2ee6af8beb3c49beafaa202d2f147f4e81bc1919f261ec4ecc9c5772",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: all 29 mine calls exhaust q_max
-# and no block is found, so the export pins the exhaustion path and the
-# monitoring and credibility columns of metrics.csv.
+# A hard lottery on a lossy, delayed network: 30 of its 34 mine calls exhaust
+# q_max and 4 blocks are found, one of which loses fork choice, so the export
+# pins the exhaustion path, blocks delivered a round late, a fork resolved by
+# score, and the monitoring and credibility columns of metrics.csv.
 HARD_LOTTERY = {
     "schema_version": 1,
     "rounds": 12,

@@ -11,6 +11,7 @@ import pytest
 
 from cidnsim.cli import EXIT_CONFIG, main
 from cidnsim.config import MAX_NODES, ConfigError, config_from_dict, load_config
+from cidnsim.trust import MAX_INTERVAL_LEN
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,10 +126,20 @@ def test_the_node_count_is_bounded():
             config_from_dict(d)
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_a_small_config_asking_for_a_billion_fakes_exits_1_at_once(command, tmp_path, capsys):
+def test_the_interval_length_is_bounded():
+    """Each node draws a monitored host's traffic once per packet of the
+    rarer label, every round, so an interval holds at most MAX_INTERVAL_LEN
+    packets."""
+    trust = BASE["trust"]
+    bounded = variant(trust={**trust, "interval_len": MAX_INTERVAL_LEN})
+    assert config_from_dict(bounded).trust.interval_len == MAX_INTERVAL_LEN
+    with pytest.raises(ConfigError, match="interval_len"):
+        config_from_dict(variant(trust={**trust, "interval_len": MAX_INTERVAL_LEN + 1}))
+
+
+def _exits_1_at_once(command, config, tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(variant(sybil={"n_fakes": 10**9})))
+    path.write_text(json.dumps(config))
     assert path.stat().st_size < 1000
     rest = ["--out", str(tmp_path / "out")] if command == "run" else [
         "--chain", str(tmp_path / "chain.jsonl")
@@ -137,6 +148,19 @@ def test_a_small_config_asking_for_a_billion_fakes_exits_1_at_once(command, tmp_
     assert main([command, "--config", str(path), *rest]) == EXIT_CONFIG
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_small_config_asking_for_a_billion_fakes_exits_1_at_once(command, tmp_path, capsys):
+    _exits_1_at_once(command, variant(sybil={"n_fakes": 10**9}), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_small_config_asking_for_a_trillion_packets_an_interval_exits_1_at_once(
+    command, tmp_path, capsys
+):
+    config = variant(trust={**BASE["trust"], "interval_len": 10**12})
+    _exits_1_at_once(command, config, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(

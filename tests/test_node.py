@@ -446,27 +446,27 @@ def _first_block_with_transactions(config):
 
 
 def test_forged_signature_copy_does_not_shadow_the_genuine_block():
-    """A copy with a flipped leader signature has the same hash_block as the
-    genuine block; rejecting it first must not make any replica reject the
-    genuine block afterwards."""
+    """A copy with a flipped leader signature, or with a flipped claimed block
+    id, has the same hash_block as the genuine block; rejecting it first must
+    not make any replica reject the genuine block afterwards, and delivered
+    after the genuine block it is rejected, not skipped as a duplicate."""
     config = small_config()
     genuine = _first_block_with_transactions(config)
-    sig = bytearray(genuine.leader_signature)
-    sig[0] ^= 1
-    forged = dataclasses.replace(genuine, leader_signature=bytes(sig))
-    assert hash_block(forged) == hash_block(genuine)
-
-    sim = Simulation(config)
     rnd = genuine.header.gen_time
-    for node in sim.nodes:
-        delivered = [
-            Message(KIND_BLOCK, genuine.header.leader_id, node.node_id, b, rnd)
-            for b in (forged, genuine)
-        ]
-        node.run_round(delivered, rnd)
-        assert node.invalid_blocks == 1
-        assert node.invalid_reasons == {Reason.LEADER_SIGNATURE: 1}
-        assert node.replica.tip == genuine
+    for how, reason in (("signature", Reason.LEADER_SIGNATURE), ("block_id", Reason.BLOCK_ID)):
+        forged = mutate_block(genuine, how, config.consensus.q_max)
+        assert hash_block(forged) == hash_block(genuine)
+        for order in ((forged, genuine), (genuine, forged)):
+            sim = Simulation(config)
+            for node in sim.nodes:
+                delivered = [
+                    Message(KIND_BLOCK, genuine.header.leader_id, node.node_id, b, rnd)
+                    for b in order
+                ]
+                node.run_round(delivered, rnd)
+                assert node.invalid_blocks == 1
+                assert node.invalid_reasons == {reason: 1}
+                assert node.replica.tip == genuine
 
 
 def test_invalid_reason_counts_add_up_to_invalid_blocks():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cidnsim.trust import (
+    MAX_INTERVAL_LEN,
     UNSURE,
     ChallengeOutcome,
     HostTrustState,
@@ -54,6 +55,7 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         ("blacklist_threshold", 0.0),
         ("interval_len", 0),
         ("interval_len", 2.5),
+        ("interval_len", MAX_INTERVAL_LEN + 1),
     ],
 )
 def test_params_rejects_out_of_range(field, value):
