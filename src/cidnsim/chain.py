@@ -9,12 +9,11 @@ canonical encoding in :mod:`cidnsim.encoding`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, TypeVar
 
-from .encoding import enc_bytes, enc_int, enc_list, enc_real, enc_str
+from .encoding import enc_bytes, enc_int, enc_list, enc_real, enc_str, sha256
 from .keys import KeyPair, KeyRegistry, verify
 
 __all__ = [
@@ -29,6 +28,7 @@ __all__ = [
     "build_transaction",
     "verify_transaction",
     "hash_block",
+    "transaction_root",
     "block_to_dict",
     "block_from_dict",
     "export_chain",
@@ -44,10 +44,6 @@ T = TypeVar("T")
 
 class ChainError(ValueError):
     """Structural violation: bad linkage or a malformed record."""
-
-
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
 
 
 def _memo_slot(name: str) -> str:
@@ -114,9 +110,10 @@ class Transaction:
     ``seq`` is the round the transaction was built in: a node builds at most
     one per round, so it rises with each transaction of a signer.
 
-    The encoding is the only bytes a transaction keeps: the signed bytes and
-    the body are cut from it.  The lists are also kept as two maps, built
-    once, which every reader of chain state shares.
+    The encoding and its 32-byte digest are the only bytes a transaction
+    keeps: the signed bytes and the body are cut from the encoding.  The
+    lists are also kept as two maps, built once, which every reader of chain
+    state shares.
     """
 
     tx_id: bytes
@@ -152,6 +149,12 @@ class Transaction:
             + enc_list(self.evidence_list, EvidenceRecord.encode)
             + enc_bytes(self.signature)
         )
+
+    @_memoized
+    def digest(self) -> bytes:
+        """SHA-256 of the encoding: what a block's transaction root commits
+        to for this transaction."""
+        return sha256(self.encode())
 
     @_memoized
     def peer_creds(self) -> dict[str, float]:
@@ -197,7 +200,7 @@ def build_transaction(
     # transaction's body too; the bytes signed, with the signature, are the
     # signed transaction's encoding
     body = unsigned.body_bytes()
-    tx_id = _sha256(body)
+    tx_id = sha256(body)
     signed = tx_id + body
     signature = key.sign(signed)
     tx = replace(unsigned, tx_id=tx_id, signature=signature)
@@ -221,7 +224,7 @@ def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
         return False
     if any(not 0.0 <= t <= 1.0 for t in tx.trust_list):
         return False
-    if tx.tx_id != _sha256(tx.body_bytes()):
+    if tx.tx_id != sha256(tx.body_bytes()):
         return False
     return verify(public, tx.signature, tx.signed_bytes())
 
@@ -255,10 +258,11 @@ class Block:
     transactions: tuple[Transaction, ...]  # ordered by ids_id ascending
     leader_signature: bytes
 
+    @_memoized
     def payload_bytes(self) -> bytes:
-        """The transactions' encodings, joined afresh on each call: a block
-        keeps no copy of the bytes its transactions hold."""
-        return enc_list(self.transactions, Transaction.encode)
+        """The 32-byte transaction root, which the block id, the eligibility
+        draw and the leader signature read in place of the transactions."""
+        return transaction_root(self.transactions)
 
     def signed_bytes(self) -> bytes:
         return self.header.encode() + self.payload_bytes()
@@ -267,15 +271,22 @@ class Block:
         return self.signed_bytes() + enc_bytes(self.leader_signature)
 
 
+def transaction_root(txs: Iterable[Transaction]) -> bytes:
+    """SHA-256 over the list of the transactions' digests: a flat list, not a
+    Merkle tree, since no reader proves the inclusion of one transaction."""
+    return sha256(enc_list(txs, Transaction.digest))
+
+
 def _block_digest(header: BlockHeader, payload: bytes) -> bytes:
     # the header's memoized encoding, less the id it leads with
-    return _sha256(header.encode()[len(header.block_id):] + payload)
+    return sha256(header.encode()[len(header.block_id):] + payload)
 
 
 @_memoized
 def hash_block(b: Block) -> bytes:
-    """The block id: SHA-256 over the header without its id and the encoded
-    payload.  It covers neither the claimed id nor the leader signature."""
+    """The block id: SHA-256 over the header without its id and the
+    transaction root.  It covers neither the claimed id nor the leader
+    signature."""
     return _block_digest(b.header, b.payload_bytes())
 
 
@@ -292,11 +303,14 @@ def make_block(
     unsigned = Block(
         BlockHeader(ZERO_HASH, key.node_id, gen_time, prev_hash, ctr, target_v), txs, b""
     )
-    # the payload is encoded once: it fixes the id and is signed
+    # the root is computed once: it fixes the id and is signed
     payload = unsigned.payload_bytes()
     bid = _block_digest(unsigned.header, payload)
     header = replace(unsigned.header, block_id=bid)
-    return _with_memo(Block(header, txs, key.sign(header.encode() + payload)), hash_block=bid)
+    return _with_memo(
+        Block(header, txs, key.sign(header.encode() + payload)),
+        payload_bytes=payload, hash_block=bid,
+    )
 
 
 def genesis_block() -> Block:

@@ -1,17 +1,16 @@
 """Hybrid PoW/PoS leader election and block validation.
 
 A node may mine only if a hash of its identity, the parent hash, and the
-payload falls under a credibility-scaled target (the eligibility lottery);
-it then brute-forces a bounded counter against a stake-and-time target.
-The proposer and every validator derive this draw in one place from
-committed chain state, so block validity is observer-independent.  The
+transaction root falls under a credibility-scaled target (the eligibility
+lottery); it then brute-forces a bounded counter against a stake-and-time
+target.  The proposer and every validator derive this draw in one place
+from committed chain state, so block validity is observer-independent.  The
 draw also yields the block's fork-choice weight (leader stake times average
 credibility), which validation returns with its verdict.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -22,9 +21,10 @@ from .chain import (
     Transaction,
     hash_block,
     make_block,
+    transaction_root,
     verify_transaction,
 )
-from .encoding import enc_int, enc_list, enc_str
+from .encoding import enc_int, enc_str, new_sha256, sha256
 from .keys import KeyPair, KeyRegistry, verify
 from .trust import average_credibility
 
@@ -47,6 +47,11 @@ __all__ = [
     "leader_trust_values",
     "time_since_last_block",
 ]
+
+# the most counter attempts a node may make per round: every eligible node
+# may hash up to q_max preimages each round, about 1 us apiece, so 2^20
+# attempts cost about a second per eligible node per round
+MAX_Q_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class ConsensusParams:
             raise ValueError(f"d_stake must be finite and > 0, got {self.d_stake}")
         if not 8 <= self.r_bits <= 64:
             raise ValueError(f"r_bits must be in [8,64], got {self.r_bits}")
-        if not self.q_max >= 1:
-            raise ValueError(f"q_max must be positive, got {self.q_max}")
+        if not 1 <= self.q_max <= MAX_Q_MAX:
+            raise ValueError(f"q_max must be in [1, {MAX_Q_MAX}], got {self.q_max}")
         if not self.t_cap >= 1:
             raise ValueError(f"t_cap must be positive, got {self.t_cap}")
 
@@ -107,7 +112,7 @@ def prefix_fraction(h: bytes, r_bits: int) -> float:
 
 
 def eligibility_hash(ids_id: str, prev_hash: bytes, payload: bytes) -> bytes:
-    return hashlib.sha256(enc_str(ids_id) + prev_hash + payload).digest()
+    return sha256(enc_str(ids_id) + prev_hash + payload)
 
 
 def check_eligibility(
@@ -148,7 +153,7 @@ def compute_target(
 
 
 def _mining_hash(g_value: bytes, gen_time: int, ctr: int) -> bytes:
-    return hashlib.sha256(g_value + enc_int(gen_time) + enc_int(ctr)).digest()
+    return sha256(g_value + enc_int(gen_time) + enc_int(ctr))
 
 
 # sorts above every 32-byte digest: a digest equal to its first 32 bytes is a
@@ -193,7 +198,7 @@ def mine(
     copying is cheaper than starting a new hash.
     """
     bound = mining_bound(target_v, r_bits)
-    fresh = hashlib.sha256(g_value + enc_int(gen_time)).copy
+    fresh = new_sha256(g_value + enc_int(gen_time)).copy
     pack = enc_int
     for ctr in range(1, q_max + 1):
         h = fresh()
@@ -298,7 +303,7 @@ def propose(
     """
     txs = sorted(txs, key=lambda t: t.ids_id)
     prev_hash = parent.tip_hash
-    payload = enc_list(txs, Transaction.encode)
+    payload = transaction_root(txs)
     draw = _draw(parent, prev_hash, key.node_id, gen_time, payload, txs, ctx)
     if draw is None:
         return None, 0

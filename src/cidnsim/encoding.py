@@ -1,4 +1,5 @@
-"""Canonical byte encoding used for hashing and signing.
+"""Canonical byte encoding used for hashing and signing, and the one SHA-256
+every module hashes with.
 
 Write-only: nothing decodes these bytes; the JSON Lines export has its own
 checked reader in :mod:`cidnsim.chain`.
@@ -6,6 +7,11 @@ checked reader in :mod:`cidnsim.chain`.
 Layout rules: fixed field order, 4-byte big-endian length prefixes for
 variable-size data, 8-byte big-endian two's-complement integers, reals as
 IEEE-754 binary64 big-endian.  Bit-exact across platforms.
+
+SHA-256 comes from the interpreter's built-in module rather than
+``hashlib``: importing ``hashlib`` maps a second OpenSSL into the process
+(``cryptography`` ships its own), and the built-in hash is also faster on
+the short preimages of the counter search.
 """
 
 from __future__ import annotations
@@ -13,7 +19,21 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterable, TypeVar
 
+try:  # CPython >= 3.12
+    from _sha2 import sha256 as new_sha256
+except ImportError:
+    try:  # CPython 3.10 and 3.11
+        from _sha256 import sha256 as new_sha256
+    except ImportError:  # a build without the built-in hash modules
+        from hashlib import sha256 as new_sha256
+
 T = TypeVar("T")
+
+
+def sha256(data: bytes) -> bytes:
+    """The SHA-256 digest of ``data``.  ``new_sha256(data)`` is the hash
+    object itself, for callers that copy a fed prefix."""
+    return new_sha256(data).digest()
 
 
 def enc_bytes(b: bytes) -> bytes:

@@ -15,7 +15,6 @@ without the full per-node trust loop:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -30,7 +29,7 @@ from .consensus import (
     mine,
     propose,
 )
-from .encoding import enc_int
+from .encoding import enc_int, sha256
 from .keys import KeyPair, KeyRegistry
 from .netsim import derived_rng
 from .node import BlockStore
@@ -110,7 +109,7 @@ def leader_election_trial(
     blocks = [0] * n_nodes
     last_led = [0] * n_nodes
     time_sum = [0.0] * n_nodes
-    prev_hash = hashlib.sha256(b"election-trial-genesis").digest()
+    prev_hash = sha256(b"election-trial-genesis")
 
     for rnd in range(1, rounds + 1):
         payload = enc_int(rnd) + prev_hash
@@ -135,7 +134,7 @@ def leader_election_trial(
             # as a deterministic stand-in for full fork choice here
             leader = min(winners, key=lambda w: _mining_hash(w[1], rnd, w[2]))[0]
             last_led[leader] = rnd
-            prev_hash = hashlib.sha256(prev_hash + enc_int(leader) + enc_int(rnd)).digest()
+            prev_hash = sha256(prev_hash + enc_int(leader) + enc_int(rnd))
 
     mean_times = [s / rounds for s in time_sum]
     return ElectionStats(blocks, stakes, avg_creds, mean_times)
@@ -179,7 +178,7 @@ def fork_contest(
     rng = derived_rng(seed, "fork-contest")
     n_total = n_honest + n_coalition
     keys = [
-        KeyPair.from_seed(hashlib.sha256(f"fork:{seed}:{i}".encode()).digest())
+        KeyPair.from_seed(sha256(f"fork:{seed}:{i}".encode()))
         for i in range(n_total)
     ]
     registry = KeyRegistry()

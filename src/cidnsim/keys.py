@@ -16,13 +16,13 @@ checked once by ``Ed25519PublicKey.verify``.  A fresh process, such as
 
 from __future__ import annotations
 
-import hashlib
-
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+
+from .encoding import sha256
 
 __all__ = ["KeyPair", "node_id_for", "verify", "KeyRegistry"]
 
@@ -36,7 +36,7 @@ def _triple(
     public_bytes: bytes, signature: bytes, message: bytes
 ) -> tuple[bytes, bytes, bytes]:
     """The memo key of a verification: the message enters as its digest."""
-    return public_bytes, bytes(signature), hashlib.sha256(message).digest()
+    return public_bytes, bytes(signature), sha256(message)
 
 
 def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
@@ -46,7 +46,7 @@ def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
 
 
 def node_id_for(public_bytes: bytes) -> str:
-    return hashlib.sha256(public_bytes).hexdigest()
+    return sha256(public_bytes).hex()
 
 
 class KeyPair:

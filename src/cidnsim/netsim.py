@@ -8,11 +8,12 @@ deterministic order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
+
+from .encoding import sha256
 
 __all__ = [
     "KIND_TRANSACTION",
@@ -41,7 +42,7 @@ _KIND_ORDER = {
 def derived_rng(seed: int, *tags: object) -> random.Random:
     """Independent stream keyed by the run seed plus arbitrary tags."""
     material = repr((seed,) + tags).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(material).digest()[:8], "big"))
+    return random.Random(int.from_bytes(sha256(material)[:8], "big"))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ replica follows the leaf of best ``Chain.rank``.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -30,7 +29,7 @@ from .chain import (
     hash_block,
 )
 from .consensus import ValidationContext, propose, validate_block
-from .encoding import enc_int, enc_str
+from .encoding import enc_int, enc_str, sha256
 from .keys import KeyPair
 from .netsim import (
     KIND_BLOCK,
@@ -380,7 +379,7 @@ class Node:
             digests: tuple[bytes, ...] = ()
             if n - k > 0:
                 alert = enc_int(rnd) + enc_str(self.node_id) + enc_str(ip) + enc_int(n - k)
-                digests = (hashlib.sha256(alert).digest(),)
+                digests = (sha256(alert),)
             self.evidence[ip] = EvidenceRecord(ip, digests, k, n)
 
     # -- (4) challenges ---------------------------------------------------

@@ -8,7 +8,6 @@ participants).
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,6 +21,7 @@ from .consensus import (
     leader_trust_values,
     time_since_last_block,
 )
+from .encoding import sha256
 from .keys import KeyPair, KeyRegistry
 from .netsim import KIND_BLOCK, Network
 from .node import Node, RuntimeContext
@@ -36,7 +36,7 @@ def host_id_for(index: int) -> str:
 
 
 def key_for(rng_seed: int, index: int) -> KeyPair:
-    material = hashlib.sha256(f"node-key:{rng_seed}:{index}".encode()).digest()
+    material = sha256(f"node-key:{rng_seed}:{index}".encode())
     return KeyPair.from_seed(material)
 
 

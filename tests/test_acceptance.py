@@ -16,7 +16,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from cidnsim import trust
-from cidnsim.chain import Chain, build_transaction, make_block
+from cidnsim.chain import Chain, build_transaction, make_block, transaction_root
 from cidnsim.cli import main as cli_main
 from cidnsim.cli import verify_chain
 from cidnsim.config import config_from_dict, load_config
@@ -183,10 +183,7 @@ def test_criterion_04_consensus_duality_fuzz(capsys):
         cand = build_transaction(
             leader, 1, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
         )
-        from cidnsim.encoding import enc_list
-        from cidnsim.chain import Transaction
-
-        payload = enc_list([cand], Transaction.encode)
+        payload = transaction_root([cand])
         eligible, g = check_eligibility(
             leader.node_id, params.d_cred, 1.0, parent.tip_hash, payload
         )

@@ -199,21 +199,31 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
     _, keys_ = registry_and_keys
     txs = [build_transaction(k, 1, {}, {"10.0.0.1": 0.5}) for k in keys_]
     prev = genesis_block().header.block_id
-    calls = []
-    enc_list = chain_module.enc_list
+    lists, hashed = [], []
+    enc_list, sha256 = chain_module.enc_list, chain_module.sha256
     monkeypatch.setattr(
-        chain_module, "enc_list", lambda *a: calls.append(a) or enc_list(*a)
+        chain_module, "enc_list", lambda *a: lists.append(a) or enc_list(*a)
     )
+    monkeypatch.setattr(chain_module, "sha256", lambda d: hashed.append(d) or sha256(d))
     b = make_block(keys_[0], 3, prev, 7, 0.5, txs)
-    assert len(calls) == 1
+    # one list of digests; one hash per transaction, one for the root, one for the id
+    assert (len(lists), len(hashed)) == (1, len(txs) + 2)
+    # reading the id, the root and the digests again hashes nothing
+    assert hash_block(b) == b.header.block_id and len(b.payload_bytes()) == 32
+    assert all(len(t.digest()) == 32 for t in txs)
+    assert (len(lists), len(hashed)) == (1, len(txs) + 2)
     monkeypatch.undo()
-    payload = b.payload_bytes()
-    expected = hashlib.sha256(b.header.encode_without_id() + payload).digest()
+    root = hashlib.sha256(
+        struct.pack(">I", len(txs))
+        + b"".join(hashlib.sha256(t.encode()).digest() for t in b.transactions)
+    ).digest()
+    assert b.payload_bytes() == root
+    expected = hashlib.sha256(b.header.encode_without_id() + root).digest()
     assert b.header.block_id == expected
-    # the block keeps its fields and its memoized id only, not the payload it
-    # was built from
+    # the block keeps its fields, its memoized root and its memoized id only,
+    # not the transactions' bytes
     fields = {f.name for f in dataclasses.fields(b)}
-    assert [v for k, v in vars(b).items() if k not in fields] == [b.header.block_id]
+    assert [v for k, v in vars(b).items() if k not in fields] == [root, b.header.block_id]
     assert hash_block(b) is b.header.block_id
 
 

@@ -434,31 +434,31 @@ def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "268a49a0ce0a642b850377b3416374e18498cdea584d5b07316a5841fc5135bf",
-        "094e6c20a4bff4ae014dfa1d5a2dacd1bffdfaef225c4f6a4c36c96b94fe028b",
+        "e84a05b83d1282b7e677efd59cdbe908547aa06c180174a2699ef31cc4e32c00",
+        "9f6fc656931808c76ab84534aa4ef1015762e5150115f875687e1e84602aaad0",
     ),
     "collusion": (
-        "d9f8524b3738c9e344c9dba15c96e05a32af5281d8ff4f92eb82eb3de9a89b74",
-        "b484b45d3c5d94b23163e981ba805e88312835889d4710a8cd62c6291369bca7",
+        "ab058a1632ad89119ce50e6f39eb96511fbdd33a8a0fb42cee89d448b99e3164",
+        "3762369ab9304d47fbd6cbbb536ec60ed6669d3d82a2f4643905c1e3c3dc4ede",
     ),
     "sybil": (
-        "2eb826d748f8a075bb03077c12774d0b546480ccec4571aa72a1cf5928df449e",
-        "9aac1c9a840afbcdc5b8cc6e9406d9eab1fa768ece1905b85cbcfc1ca70590e0",
+        "623b51858fd9abd63a392ac6231d3f20259b1581e38197e8d18d49bd219f2278",
+        "0a6f7d645e9bf15b3743fae301cd699aec4c0b110b40fa8cc529cbbac2220c24",
     ),
     "betrayal": (
-        "c6ef2661d334aab7366b309796f03eee07c44fdedd4808fcf507b1350a69f62c",
-        "e07555756b307af16819449f872e775e97c2e9cbb82037608fc3e4074e3afb1f",
+        "f78a22b742b399ef28146bd5e275d4ec469b7eeb5c976af8d42013c7ec8a01a6",
+        "2467387d448128b4e07c50b3973c3b6e910672e6eb237a1b5843317892652536",
     ),
     "hard_lottery": (
-        "8da743c5ab2cccf1fe31782d8be14b712a326470bc32a718a594442c7dd9663f",
-        "3bcc56cb2ee6af8beb3c49beafaa202d2f147f4e81bc1919f261ec4ecc9c5772",
+        "7202361e0e0933f2aa4ba213bc857d828fdb74e823c72cd0f3abd257bcc6096c",
+        "47fc0b18a4940e9577dfc4988493012fc3b2a7e1a5d9299abb083bba320ecc5f",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: 30 of its 34 mine calls exhaust
-# q_max and 4 blocks are found, one of which loses fork choice, so the export
-# pins the exhaustion path, blocks delivered a round late, a fork resolved by
-# score, and the monitoring and credibility columns of metrics.csv.
+# A hard lottery on a lossy, delayed network: 28 of its 29 mine calls exhaust
+# q_max and 1 block is found, so the export pins the exhaustion path, a block
+# delivered a round late, and the monitoring and credibility columns of
+# metrics.csv.
 HARD_LOTTERY = {
     "schema_version": 1,
     "rounds": 12,

@@ -11,6 +11,7 @@ import pytest
 
 from cidnsim.cli import EXIT_CONFIG, main
 from cidnsim.config import MAX_NODES, ConfigError, config_from_dict, load_config
+from cidnsim.consensus import MAX_Q_MAX
 from cidnsim.trust import MAX_INTERVAL_LEN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,6 +161,22 @@ def test_a_small_config_asking_for_a_trillion_packets_an_interval_exits_1_at_onc
     command, tmp_path, capsys
 ):
     config = variant(trust={**BASE["trust"], "interval_len": 10**12})
+    _exits_1_at_once(command, config, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_small_config_asking_for_a_trillion_hash_attempts_a_round_exits_1_at_once(
+    command, tmp_path, capsys
+):
+    """Every eligible node may spend q_max hash attempts a round, so q_max is
+    at most MAX_Q_MAX; under this hard lottery nearly every search would
+    exhaust it."""
+    consensus = BASE["consensus"]
+    bounded = variant(consensus={**consensus, "q_max": MAX_Q_MAX})
+    assert config_from_dict(bounded).consensus.q_max == MAX_Q_MAX
+    config = variant(
+        consensus={**consensus, "d_stake": 3e-7, "r_bits": 64, "q_max": 10**12}
+    )
     _exits_1_at_once(command, config, tmp_path, capsys)
 
 

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from cidnsim import consensus as consensus_module
-from cidnsim.chain import Chain, Transaction, build_transaction, hash_block
+from cidnsim.chain import Chain, build_transaction, hash_block, transaction_root
 from cidnsim.config import NetParams, load_config
 from cidnsim.consensus import (
+    MAX_Q_MAX,
     ConsensusParams,
     Reason,
     ValidationContext,
@@ -32,7 +33,7 @@ from cidnsim.consensus import (
     validate_block,
 )
 from cidnsim.consensus import _mining_hash
-from cidnsim.encoding import enc_int, enc_list
+from cidnsim.encoding import enc_int
 from cidnsim.keys import KeyPair, KeyRegistry
 from cidnsim.node import Behavior, Node, RuntimeContext
 from cidnsim.simulation import Simulation
@@ -53,7 +54,7 @@ def key_of(label: str) -> KeyPair:
     "field,value",
     [("d_cred", 0.0), ("d_cred", 1.1), ("d_stake", 0.0), ("d_stake", math.inf),
      ("d_stake", math.nan), ("r_bits", 7), ("r_bits", 65), ("q_max", 0),
-     ("t_cap", 0)],
+     ("q_max", MAX_Q_MAX + 1), ("t_cap", 0)],
 )
 def test_params_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
@@ -341,7 +342,7 @@ def test_a_leader_with_zero_stake_proposes_nothing_and_mines_nothing(monkeypatch
     )
     for salt in range(200):
         tx = build_transaction(leader, 1, {other.node_id: 0.5 - salt * 1e-9}, {})
-        payload = enc_list([tx], Transaction.encode)
+        payload = transaction_root([tx])
         eligible, _ = check_eligibility(
             leader.node_id, PARAMS.d_cred, avg, chain.tip_hash, payload
         )

@@ -3,7 +3,9 @@
 Nothing in the package decodes the encoding, so each property reads the
 bytes back by the layout rules themselves."""
 
+import hashlib
 import math
+import random
 import struct
 
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from cidnsim.encoding import (
     enc_list,
     enc_real,
     enc_str,
+    new_sha256,
+    sha256,
 )
 
 
@@ -86,3 +90,21 @@ def test_different_field_sequences_encode_to_different_bytes(text, data):
 def test_length_prefix_is_big_endian_four_bytes():
     assert enc_bytes(b"hi")[:4] == b"\x00\x00\x00\x02"
     assert enc_int(1) == b"\x00\x00\x00\x00\x00\x00\x00\x01"
+
+
+def test_sha256_equals_hashlib_and_a_copied_prefix_equals_one_shot_hashing():
+    """The helper agrees with ``hashlib`` on the empty input, around the
+    padding boundaries (55 bytes fit one block with the length, 56 do not)
+    and on 1 MB; a copy of a fed prefix, updated, hashes as the whole
+    preimage does, which is how ``consensus.mine`` hashes each counter."""
+    rng = random.Random(0)
+    for size in (0, 55, 56, 64, 1 << 20):
+        data = rng.randbytes(size)
+        assert sha256(data) == hashlib.sha256(data).digest()
+    prefix = rng.randbytes(40)
+    fed = new_sha256(prefix)
+    for ctr in range(1, 100):
+        h = fed.copy()
+        h.update(enc_int(ctr))
+        assert h.digest() == hashlib.sha256(prefix + enc_int(ctr)).digest()
+    assert fed.digest() == hashlib.sha256(prefix).digest()

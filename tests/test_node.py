@@ -494,8 +494,9 @@ def test_invalid_reason_counts_add_up_to_invalid_blocks():
 
 
 def test_a_run_holds_each_encoding_and_list_map_once():
-    """After a run no stored block keeps its payload bytes, each transaction
-    keeps one bytes value, its encoding, and every chain that commits a
+    """After a run no stored block keeps more than its 32-byte transaction
+    root and id, each transaction keeps two bytes values, its encoding and
+    that encoding's 32-byte digest, and every chain that commits a
     transaction holds that transaction itself as its signer's latest, so
     forks that commit the same transaction share it and its maps."""
     sim = Simulation(small_config())
@@ -507,13 +508,15 @@ def test_a_run_holds_each_encoding_and_list_map_once():
     for chain in chains:
         b = chain.tip
         kept = [v for k, v in vars(b).items() if k not in block_fields]
-        assert all(v == hash_block(b) for v in kept)  # the memoized digest only
+        # the memoized root and id only
+        assert all(v in (b.payload_bytes(), hash_block(b)) and len(v) == 32 for v in kept)
         for tx in b.transactions:
             held = [
                 v for k, v in vars(tx).items()
                 if k not in tx_fields and isinstance(v, bytes)
             ]
-            assert len(held) == 1 and held[0] is tx.encode()
+            assert len(held) == 2 and held[0] is tx.encode() and held[1] is tx.digest()
+            assert tx.digest() == hashlib.sha256(tx.encode()).digest()
             assert chain.latest_tx[tx.ids_id] is tx
             forks_of[id(tx)] += 1
     assert max(forks_of.values()) >= 2, "no transaction was committed on two forks"

@@ -67,7 +67,8 @@ def test_every_benchmark_hook_resolves_in_the_package():
 def test_run_and_verify_load_no_report_only_modules(tmp_path):
     """``run`` and ``verify`` import neither ``cidnsim.experiments``, which
     only ``report`` needs, nor scipy or numpy: each import is start-up time
-    that every run would pay."""
+    that every run would pay.  Nor do they load ``_hashlib``, which maps a
+    second OpenSSL next to the one ``cryptography`` ships."""
     scenario = json.loads((ROOT / "scenarios" / "baseline_honest.json").read_text())
     config = tmp_path / "short.json"
     config.write_text(json.dumps({**scenario, "rounds": 5}))
@@ -78,7 +79,8 @@ def test_run_and_verify_load_no_report_only_modules(tmp_path):
         f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0",
         f"assert main(['verify', '--chain', {str(out / 'chain.jsonl')!r},"
         f" '--config', {str(config)!r}]) == 0",
-        "print([m for m in ('cidnsim.experiments', 'scipy', 'numpy') if m in sys.modules])",
+        "print([m for m in ('cidnsim.experiments', 'scipy', 'numpy', '_hashlib')"
+        " if m in sys.modules])",
     ])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
