@@ -27,6 +27,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NetParams:
+    """The message fabric.  A message sent in round r arrives in round
+    r + max(delay_rounds, 1): nodes act after the round's deliveries, so
+    ``delay_rounds`` 0 and 1 give the same delay."""
+
     drop_prob: float = 0.0
     delay_rounds: int = 0
     challenge_prob: float = 0.5

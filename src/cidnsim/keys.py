@@ -2,16 +2,17 @@
 
 A node's identifier is the SHA-256 fingerprint (hex) of its raw public key.
 
-Verdicts are memoized per (public key, signature, SHA-256 of the message)
-triple: every peer checks the same broadcast objects, and the predicate is
-pure.  The memo keeps the 32-byte digest rather than the message, so it
-holds no second copy of any signed record.  A signature this process made
-is known valid when it is made (Ed25519 signing is deterministic and a
-correct signature verifies under its own key, RFC 8032), so
-``KeyPair.sign`` records its triple as verified.  Every other triple
-(forged, altered, presented under another key, or read from an export) is
-checked once by ``Ed25519PublicKey.verify``.  A fresh process, such as
-``cidnsim verify``, therefore checks every distinct signature.
+A signature this process made is known valid when it is made (Ed25519
+signing is deterministic and a correct signature verifies under its own
+key, RFC 8032), and every peer checks the same broadcast objects.  So
+``KeyPair.sign`` records its (public key, signature) pair with the SHA-256
+of the message it signed, and ``verify`` accepts a recorded pair whose
+message has that digest without any curve work.  The memo keeps the 32-byte
+digest rather than the message, so it holds no second copy of any signed
+record.  Every other verification (forged, altered, presented under another
+key, or read from an export) runs ``Ed25519PublicKey.verify`` and records
+nothing: a process that signs nothing, such as ``cidnsim verify``, hashes no
+message only to look it up.
 """
 
 from __future__ import annotations
@@ -26,23 +27,10 @@ from .encoding import sha256
 
 __all__ = ["KeyPair", "node_id_for", "verify", "KeyRegistry"]
 
-# Bound on remembered verdicts; the oldest is dropped first, and a dropped
-# triple is simply checked again.
-_VERDICTS_MAX = 1 << 16
-_verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
-
-
-def _triple(
-    public_bytes: bytes, signature: bytes, message: bytes
-) -> tuple[bytes, bytes, bytes]:
-    """The memo key of a verification: the message enters as its digest."""
-    return public_bytes, bytes(signature), sha256(message)
-
-
-def _remember(triple: tuple[bytes, bytes, bytes], ok: bool) -> None:
-    if len(_verdicts) >= _VERDICTS_MAX:
-        del _verdicts[next(iter(_verdicts))]
-    _verdicts[triple] = ok
+# Bound on remembered signatures; the oldest is dropped first, and a dropped
+# signature is simply checked by Ed25519 again.
+_SIGNED_MAX = 1 << 16
+_signed: dict[tuple[bytes, bytes], bytes] = {}  # (public key, signature) -> digest
 
 
 def node_id_for(public_bytes: bytes) -> str:
@@ -64,23 +52,24 @@ class KeyPair:
         return KeyPair(Ed25519PrivateKey.from_private_bytes(seed))
 
     def sign(self, message: bytes) -> bytes:
-        """Sign ``message`` and record the triple as verified."""
+        """Sign ``message`` and record the signature as made here."""
         signature = self._private.sign(message)
-        _remember(_triple(self.public_bytes, signature, message), True)
+        if len(_signed) >= _SIGNED_MAX:
+            del _signed[next(iter(_signed))]
+        _signed[self.public_bytes, signature] = sha256(message)
         return signature
 
 
 def verify(public_bytes: bytes, signature: bytes, message: bytes) -> bool:
-    triple = _triple(public_bytes, signature, message)
-    ok = _verdicts.get(triple)
-    if ok is None:
-        try:
-            Ed25519PublicKey.from_public_bytes(public_bytes).verify(triple[1], message)
-            ok = True
-        except (InvalidSignature, ValueError):
-            ok = False
-        _remember(triple, ok)
-    return ok
+    signature = bytes(signature)
+    digest = _signed.get((public_bytes, signature))
+    if digest is not None and digest == sha256(message):
+        return True
+    try:
+        Ed25519PublicKey.from_public_bytes(public_bytes).verify(signature, message)
+        return True
+    except (InvalidSignature, ValueError):
+        return False
 
 
 class KeyRegistry:

@@ -4,6 +4,10 @@ Every random decision draws from a stream derived from (seed, purpose,
 participants), so adding a node never perturbs the streams of existing
 ones.  Messages scheduled and not dropped are delivered exactly once, in a
 deterministic order.
+
+A scheduled message is held once, with the receivers whose copy survived:
+a broadcast to N members is one ``Message``, and every receiver is handed
+that same object.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, NamedTuple
 
 from .encoding import sha256
 
@@ -45,24 +49,30 @@ def derived_rng(seed: int, *tags: object) -> random.Random:
     return random.Random(int.from_bytes(sha256(material)[:8], "big"))
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One scheduled message, shared by all of its receivers."""
+
     kind: str
     sender: str
-    receiver: str
     payload: Any
     deliver_at: int
 
 
 @dataclass
 class Network:
-    """Broadcast fabric with per-copy loss and fixed delay."""
+    """Broadcast fabric with per-copy loss and fixed delay.
+
+    A message sent in round r is due in round r + ``delay_rounds``; ``step``
+    runs at the start of a round, before anything is sent in it, so the
+    message arrives in round r + max(``delay_rounds``, 1).
+    """
 
     seed: int
     drop_prob: float = 0.0
     delay_rounds: int = 0
     nodes: list[str] = field(default_factory=list)
-    _pending: list[Message] = field(default_factory=list)
+    # each scheduled message with the receivers whose copy was not dropped
+    _pending: list[tuple[Message, tuple[str, ...]]] = field(default_factory=list)
 
     def add_node(self, node_id: str) -> None:
         if node_id not in self.nodes:
@@ -79,30 +89,44 @@ class Network:
     def __post_init__(self) -> None:
         self._drop_streams: dict[tuple, random.Random] = {}
 
-    def send(self, kind: str, sender: str, receiver: str, payload: Any, rnd: int) -> None:
-        """Schedule one copy; it may be dropped.  A lossless network draws
+    def _schedule(
+        self, kind: str, sender: str, receivers: Iterable[str], payload: Any, rnd: int
+    ) -> None:
+        """Schedule one message for ``receivers``, each copy dropped on its
+        own pair's stream, drawn in receiver order.  A lossless network draws
         nothing, since no draw could drop a copy, and so makes no streams."""
-        if self.drop_prob > 0.0 and (
-            self._drop_rng(sender, receiver).random() < self.drop_prob
-        ):
-            return
-        self._pending.append(
-            Message(kind, sender, receiver, payload, rnd + self.delay_rounds)
-        )
+        if self.drop_prob > 0.0:
+            receivers = tuple(
+                r for r in receivers
+                if self._drop_rng(sender, r).random() >= self.drop_prob
+            )
+        else:
+            receivers = tuple(receivers)
+        if receivers:
+            self._pending.append(
+                (Message(kind, sender, payload, rnd + self.delay_rounds), receivers)
+            )
+
+    def send(self, kind: str, sender: str, receiver: str, payload: Any, rnd: int) -> None:
+        """Schedule one copy; it may be dropped."""
+        self._schedule(kind, sender, (receiver,), payload, rnd)
 
     def broadcast(self, kind: str, sender: str, payload: Any, rnd: int) -> None:
         """One independently dropped copy per current member (sender included)."""
-        for receiver in self.nodes:
-            self.send(kind, sender, receiver, payload, rnd)
+        self._schedule(kind, sender, self.nodes, payload, rnd)
 
     def step(self, rnd: int) -> dict[str, list[Message]]:
-        """Deliver everything due by ``rnd``, sorted by sender then kind."""
-        due = [m for m in self._pending if m.deliver_at <= rnd]
-        self._pending = [m for m in self._pending if m.deliver_at > rnd]
-        due.sort(key=lambda m: (m.sender, _KIND_ORDER.get(m.kind, 9), m.receiver))
+        """Deliver everything due by ``rnd``.  Each receiver's list is sorted
+        by sender, then kind, and keeps the order of sending within those."""
+        due, pending = [], []
+        for entry in self._pending:
+            (due if entry[0].deliver_at <= rnd else pending).append(entry)
+        self._pending = pending
+        due.sort(key=lambda e: (e[0].sender, _KIND_ORDER.get(e[0].kind, 9)))
         out: dict[str, list[Message]] = {}
-        for m in due:
-            out.setdefault(m.receiver, []).append(m)
+        for m, receivers in due:
+            for r in receivers:
+                out.setdefault(r, []).append(m)
         return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from . import trust
 from .chain import (
@@ -92,16 +92,14 @@ class Behavior:
         return True
 
 
-@dataclass(frozen=True)
-class Challenge:
+class Challenge(NamedTuple):
     challenger: str
     target: str
     sent_round: int
     priority: float
 
 
-@dataclass(frozen=True)
-class ChallengeResponse:
+class ChallengeResponse(NamedTuple):
     challenger: str
     target: str
     sent_round: int
@@ -250,10 +248,12 @@ class Node:
         peers = self._sync_peers(rnd)
         out: list[tuple[str, str | None, Any]] = []
 
-        blocks = [m.payload for m in deliveries if m.kind == KIND_BLOCK]
-        txs = [m.payload for m in deliveries if m.kind == KIND_TRANSACTION]
-        challenges = [m.payload for m in deliveries if m.kind == KIND_CHALLENGE]
-        responses = [m.payload for m in deliveries if m.kind == KIND_RESPONSE]
+        inbox: dict[str, list[Any]] = {
+            KIND_BLOCK: [], KIND_TRANSACTION: [], KIND_CHALLENGE: [], KIND_RESPONSE: []
+        }
+        for m in deliveries:
+            inbox[m.kind].append(m.payload)
+        blocks, txs, challenges, responses = inbox.values()
 
         # (1) chain ingestion and fork choice
         tip_advanced = self._ingest_blocks(blocks)

@@ -188,7 +188,7 @@ def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
     assert tx.encode().startswith(signed)
     held = [v for v in vars(tx).values() if isinstance(v, bytes)]
     assert signed not in held
-    remembered = [m for (_, sig, m) in keys._verdicts if sig == tx.signature]
+    remembered = [d for (_, sig), d in keys._signed.items() if sig == tx.signature]
     assert remembered == [hashlib.sha256(signed).digest()]
 
 

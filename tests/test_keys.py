@@ -4,7 +4,10 @@ import hashlib
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from cidnsim import keys
 from cidnsim.chain import export_chain
@@ -85,7 +88,7 @@ def test_a_run_verifies_no_signature_it_made_and_an_audit_checks_each_once(
     path = str(tmp_path / "chain.jsonl")
     export_chain(result.chain, result.registry, path)
 
-    keys._verdicts.clear()  # an audit in a fresh process starts with no memo
+    keys._signed.clear()  # an audit in a fresh process starts with no memo
     ok, _ = verify_chain(path, config)
     assert ok
     expected = set()
@@ -99,22 +102,54 @@ def test_a_run_verifies_no_signature_it_made_and_an_audit_checks_each_once(
 
 
 def test_the_verdict_memo_holds_at_most_2_to_the_16_entries():
-    keys._verdicts.clear()
+    class EchoKey:
+        """A private key whose signature is the message itself: no curve work."""
+
+        def sign(self, message):
+            return message
+
+    key = KeyPair.from_seed(hashlib.sha256(b"memo bound").digest())
+    key._private = EchoKey()
+    keys._signed.clear()
     try:
         bound = 1 << 16
-        # a public key of the wrong length is rejected without any curve work
-        triples = [(b"short key", b"sig", i.to_bytes(4, "big")) for i in range(bound + 3)]
-        for triple in triples:
-            assert not verify(*triple)
-        assert len(keys._verdicts) == bound
+        messages = [i.to_bytes(4, "big") for i in range(bound + 3)]
+        for message in messages:
+            key.sign(message)
+        assert len(keys._signed) == bound
 
         def remembered(i):
-            public, sig, message = triples[i]
-            return (public, sig, hashlib.sha256(message).digest()) in keys._verdicts
+            message = messages[i]
+            return keys._signed.get((key.public_bytes, message)) == (
+                hashlib.sha256(message).digest()
+            )
 
         # the oldest three were dropped first; the memo holds digests only
         assert not remembered(0) and not remembered(2)
         assert remembered(3) and remembered(-1)
-        assert {len(m) for (_, _, m) in keys._verdicts} == {32}
+        assert {len(d) for d in keys._signed.values()} == {32}
+        # a remembered signature is accepted without Ed25519, a dropped one is
+        # checked again (and an echo is no valid Ed25519 signature)
+        assert verify(key.public_bytes, messages[-1], messages[-1])
+        assert not verify(key.public_bytes, messages[0], messages[0])
     finally:
-        keys._verdicts.clear()
+        keys._signed.clear()
+
+
+def test_verifying_a_foreign_signature_hashes_no_message(monkeypatch):
+    """A process that signed nothing, as ``cidnsim verify``, feeds no bytes
+    to SHA-256 when it checks a valid signature."""
+    private = Ed25519PrivateKey.from_private_bytes(hashlib.sha256(b"foreign").digest())
+    public = private.public_key().public_bytes_raw()
+    message = b"a transaction read from an export"
+    signature = private.sign(message)
+    hashed = []
+
+    def spy(data):
+        hashed.append(bytes(data))
+        return hashlib.sha256(data).digest()
+
+    monkeypatch.setattr(keys, "sha256", spy)
+    assert verify(public, signature, message)
+    assert not verify(public, signature, message + b"!")
+    assert hashed == []

@@ -113,6 +113,98 @@ def test_a_lossless_network_holds_no_drop_streams():
     assert net._drop_streams == {}
 
 
+def test_every_receiver_of_a_broadcast_gets_the_same_message():
+    net = Network(seed=1)
+    for n in ("a", "b", "c"):
+        net.add_node(n)
+    net.broadcast(KIND_BLOCK, "a", "blk", rnd=2)
+    delivered = net.step(3)
+    assert sorted(delivered) == ["a", "b", "c"]
+    (message,) = {id(inbox[0]): inbox[0] for inbox in delivered.values()}.values()
+    assert message == (KIND_BLOCK, "a", "blk", 2)
+
+
+class PerCopyNetwork:
+    """The fabric's rule, one copy per receiver: each copy is dropped on its
+    (sender, receiver) stream, a broadcast sends one copy per member in
+    membership order, and ``step`` sorts the due copies by sender, kind and
+    receiver, keeping the order of sending among equals."""
+
+    ORDER = {KIND_BLOCK: 0, KIND_TRANSACTION: 1, KIND_CHALLENGE: 2, KIND_RESPONSE: 3}
+
+    def __init__(self, seed, drop_prob, delay_rounds):
+        self.seed, self.drop_prob, self.delay = seed, drop_prob, delay_rounds
+        self.nodes, self.pending, self.streams = [], [], {}
+
+    def add_node(self, node):
+        if node not in self.nodes:
+            self.nodes.append(node)
+
+    def send(self, kind, sender, receiver, payload, rnd):
+        if self.drop_prob > 0.0:
+            key = ("drop", sender, receiver)
+            if key not in self.streams:
+                self.streams[key] = derived_rng(self.seed, *key)
+            if self.streams[key].random() < self.drop_prob:
+                return
+        self.pending.append((kind, sender, receiver, payload, rnd + self.delay))
+
+    def broadcast(self, kind, sender, payload, rnd):
+        for receiver in self.nodes:
+            self.send(kind, sender, receiver, payload, rnd)
+
+    def step(self, rnd):
+        due = [c for c in self.pending if c[4] <= rnd]
+        self.pending = [c for c in self.pending if c[4] > rnd]
+        due.sort(key=lambda c: (c[1], self.ORDER[c[0]], c[2]))
+        out = {}
+        for kind, sender, receiver, payload, deliver_at in due:
+            out.setdefault(receiver, []).append((kind, sender, payload, deliver_at))
+        return out
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+_KINDS = st.sampled_from([KIND_BLOCK, KIND_TRANSACTION, KIND_CHALLENGE, KIND_RESPONSE])
+_OPS = st.one_of(
+    st.tuples(st.just("add_node"), _NAMES),
+    st.tuples(st.just("send"), _KINDS, _NAMES, _NAMES, st.integers(0, 8)),
+    st.tuples(st.just("broadcast"), _KINDS, _NAMES, st.integers(0, 8)),
+    st.tuples(st.just("step"), st.integers(0, 10)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drop_prob=st.sampled_from([0.0, 0.3]),
+    delay_rounds=st.sampled_from([0, 1, 2]),
+    seed=st.integers(0, 2**16),
+    ops=st.lists(_OPS, max_size=60),
+)
+def test_each_receiver_gets_what_a_per_copy_fabric_delivers(
+    drop_prob, delay_rounds, seed, ops
+):
+    net = Network(seed=seed, drop_prob=drop_prob, delay_rounds=delay_rounds)
+    reference = PerCopyNetwork(seed, drop_prob, delay_rounds)
+    for payload, (op, *args) in enumerate(ops + [("step", 10**9)]):
+        if op == "add_node":
+            net.add_node(*args)
+            reference.add_node(*args)
+        elif op == "send":
+            kind, sender, receiver, rnd = args
+            net.send(kind, sender, receiver, payload, rnd)
+            reference.send(kind, sender, receiver, payload, rnd)
+        elif op == "broadcast":
+            kind, sender, rnd = args
+            net.broadcast(kind, sender, payload, rnd)
+            reference.broadcast(kind, sender, payload, rnd)
+        else:
+            delivered = {
+                receiver: [(m.kind, m.sender, m.payload, m.deliver_at) for m in inbox]
+                for receiver, inbox in net.step(*args).items()
+            }
+            assert delivered == reference.step(*args)
+
+
 def test_derived_rng_streams_are_independent_and_reproducible():
     a1 = [derived_rng(9, "x", 1).random() for _ in range(3)]
     a2 = [derived_rng(9, "x", 1).random() for _ in range(3)]

@@ -460,7 +460,7 @@ def test_forged_signature_copy_does_not_shadow_the_genuine_block():
             sim = Simulation(config)
             for node in sim.nodes:
                 delivered = [
-                    Message(KIND_BLOCK, genuine.header.leader_id, node.node_id, b, rnd)
+                    Message(KIND_BLOCK, genuine.header.leader_id, b, rnd)
                     for b in order
                 ]
                 node.run_round(delivered, rnd)
