@@ -183,7 +183,7 @@ def build_transaction(
     creds = {p: peer_creds[p] for p in sorted(peer_creds)}
     trusts = {h: host_trusts[h] for h in sorted(host_trusts)}
     ev = tuple(
-        evidence.get(h, EvidenceRecord(h, (), 0, 0)) for h in trusts
+        evidence[h] if h in evidence else EvidenceRecord(h, (), 0, 0) for h in trusts
     )
     unsigned = Transaction(
         tx_id=b"",

@@ -6,8 +6,8 @@ ones.  Messages scheduled and not dropped are delivered exactly once, in a
 deterministic order.
 
 A scheduled message is held once, with the receivers whose copy survived:
-a broadcast to N members is one ``Message``, and every receiver is handed
-that same object.
+a broadcast to N members, or a send to a tuple of receivers, is one
+``Message``, and every receiver is handed that same object.
 """
 
 from __future__ import annotations
@@ -107,9 +107,11 @@ class Network:
                 (Message(kind, sender, payload, rnd + self.delay_rounds), receivers)
             )
 
-    def send(self, kind: str, sender: str, receiver: str, payload: Any, rnd: int) -> None:
-        """Schedule one copy; it may be dropped."""
-        self._schedule(kind, sender, (receiver,), payload, rnd)
+    def send(
+        self, kind: str, sender: str, receivers: tuple[str, ...], payload: Any, rnd: int
+    ) -> None:
+        """One independently dropped copy per receiver named, member or not."""
+        self._schedule(kind, sender, receivers, payload, rnd)
 
     def broadcast(self, kind: str, sender: str, payload: Any, rnd: int) -> None:
         """One independently dropped copy per current member (sender included)."""

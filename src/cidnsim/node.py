@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import trust
 from .chain import (
@@ -42,7 +42,6 @@ from .netsim import (
 )
 from .trust import (
     UNSURE,
-    ChallengeOutcome,
     HostTrustState,
     PeerTrustState,
     TrustParams,
@@ -61,8 +60,6 @@ __all__ = [
     "BlockStore",
     "RuntimeContext",
     "Node",
-    "Challenge",
-    "ChallengeResponse",
 ]
 
 # keep combined scores strictly inside (0,1); adversaries may publish endpoints
@@ -90,20 +87,6 @@ class Behavior:
         if self.kind == "betrayal":
             return self.turn_round is not None and rnd >= self.turn_round
         return True
-
-
-class Challenge(NamedTuple):
-    challenger: str
-    target: str
-    sent_round: int
-    priority: float
-
-
-class ChallengeResponse(NamedTuple):
-    challenger: str
-    target: str
-    sent_round: int
-    answer: float | Any  # priority or UNSURE
 
 
 class BlockStore:
@@ -243,21 +226,28 @@ class Node:
 
     def run_round(
         self, deliveries: Sequence[Message], rnd: int
-    ) -> list[tuple[str, str | None, Any]]:
-        """Process one round; returns outgoing (kind, receiver-or-None, payload)."""
-        peers = self._sync_peers(rnd)
-        out: list[tuple[str, str | None, Any]] = []
+    ) -> list[tuple[str, tuple[str, ...] | None, Any]]:
+        """Process one round; returns outgoing (kind, receivers, payload),
+        where receivers None is a broadcast to every member.
 
-        inbox: dict[str, list[Any]] = {
+        A round sends at most one challenge message, whose payload is
+        (round, {challenged peer: priority}), and one response message,
+        whose payload is {challenger: (round challenged, answer)}; each
+        receiver reads its own entry."""
+        peers = self._sync_peers(rnd)
+        out: list[tuple[str, tuple[str, ...] | None, Any]] = []
+
+        inbox: dict[str, list[Message]] = {
             KIND_BLOCK: [], KIND_TRANSACTION: [], KIND_CHALLENGE: [], KIND_RESPONSE: []
         }
         for m in deliveries:
-            inbox[m.kind].append(m.payload)
+            inbox[m.kind].append(m)
         blocks, txs, challenges, responses = inbox.values()
 
         # (1) chain ingestion and fork choice
-        tip_advanced = self._ingest_blocks(blocks)
-        for tx in txs:
+        tip_advanced = self._ingest_blocks([m.payload for m in blocks])
+        for m in txs:
+            tx = m.payload
             if self.ctx.validation_context.transaction_ok(tx):
                 self.pending_txs[tx.ids_id] = tx
         self._drop_committed_pending()
@@ -271,12 +261,21 @@ class Node:
         self._measure_traffic(rnd)
 
         # (4) challenges: answer, evaluate, issue
-        for ch in challenges:
-            out.append((KIND_RESPONSE, ch.challenger, self.respond_to_challenge(ch, rnd)))
-        for resp in responses:
-            self._evaluate_response(resp)
+        me = self.node_id
+        answers = {}
+        for m in challenges:
+            sent_round, priorities = m.payload
+            answers[m.sender] = (
+                sent_round, self.answer_challenge(m.sender, priorities[me], rnd)
+            )
+        if answers:
+            out.append((KIND_RESPONSE, tuple(answers), answers))
+        for m in responses:
+            self._evaluate_response(m.sender, *m.payload[me])
         self._expire_challenges(rnd)
-        out.extend(self._issue_challenges(peers, rnd))
+        priorities = self._issue_challenges(peers, rnd)
+        if priorities:
+            out.append((KIND_CHALLENGE, tuple(priorities), (rnd, priorities)))
 
         # (5) publish a transaction when the local lists changed
         tx = self._maybe_build_transaction(rnd)
@@ -384,34 +383,30 @@ class Node:
 
     # -- (4) challenges ---------------------------------------------------
 
-    def respond_to_challenge(self, ch: Challenge, rnd: int) -> ChallengeResponse:
-        """Behavior-dependent answer to a received challenge."""
+    def answer_challenge(self, challenger: str, priority: float, rnd: int) -> float | Any:
+        """Behavior-dependent answer to a challenge of ``priority``: a
+        priority, or UNSURE."""
         b = self.behavior
         if b.kind == "sybil":
-            answer: float | Any = UNSURE
-        elif b.kind in ("betrayal", "collusion") and b.is_adversarial_at(rnd):
-            answer = 1.0 - ch.priority
-        else:
-            rng = self._pair_rng(
-                self._response_rngs, "response", self.ctx.index_of[ch.challenger]
-            )
-            answer = ch.priority if rng.random() < self.know_prob else UNSURE
-        return ChallengeResponse(ch.challenger, self.node_id, ch.sent_round, answer)
+            return UNSURE
+        if b.kind in ("betrayal", "collusion") and b.is_adversarial_at(rnd):
+            return 1.0 - priority
+        rng = self._pair_rng(self._response_rngs, "response", self.ctx.index_of[challenger])
+        return priority if rng.random() < self.know_prob else UNSURE
 
-    def _evaluate_response(self, resp: ChallengeResponse) -> None:
-        expected = self.outstanding.pop((resp.target, resp.sent_round), None)
+    def _evaluate_response(self, peer: str, sent_round: int, answer: float | Any) -> None:
+        expected = self.outstanding.pop((peer, sent_round), None)
         if expected is None:
             return
         p = self.ctx.trust_params
-        state = self.peer_trust.get(resp.target)
+        state = self.peer_trust.get(peer)
         if state is None:
             state = PeerTrustState.fresh(p)
-        outcome = ChallengeOutcome(expected, resp.answer)
-        if outcome.is_unsure:
-            self.peer_trust[resp.target] = update_unsure(state, p)
+        if answer is UNSURE:
+            self.peer_trust[peer] = update_unsure(state, p)
         else:
-            self.peer_trust[resp.target] = update_satisfaction(
-                state, satisfaction(outcome), p
+            self.peer_trust[peer] = update_satisfaction(
+                state, satisfaction(expected, answer), p
             )
 
     def _expire_challenges(self, rnd: int) -> None:
@@ -421,30 +416,34 @@ class Node:
         sent in round r is evaluated by round r + 2 max(delay_rounds, 1); a
         response that was dropped never comes."""
         horizon = rnd - 2 * max(self.ctx.network.delay_rounds, 1)
+        # challenges are held in the order they were issued, so the first is
+        # the oldest
+        oldest = next(iter(self.outstanding), None)
+        if oldest is None or oldest[1] > horizon:
+            return
         self.outstanding = {
             key: priority for key, priority in self.outstanding.items()
             if key[1] > horizon
         }
 
-    def _issue_challenges(
-        self, peers: Sequence[str], rnd: int
-    ) -> list[tuple[str, str, Challenge]]:
-        out = []
+    def _issue_challenges(self, peers: Sequence[str], rnd: int) -> dict[str, float]:
+        """Challenge the peers this round's draws pick; returns each
+        challenged peer's priority."""
+        net = self.ctx.network
+        priorities = {}
         for peer in peers:
             rng = self._pair_rng(
                 self._challenge_rngs, "challenge", self.ctx.index_of[peer]
             )
-            if rng.random() >= self.ctx.network.challenge_prob:
+            if rng.random() >= net.challenge_prob:
                 continue
             u = rng.random()
-            priority = u if self.ctx.network.challenge_priorities == "uniform" else (
+            priority = u if net.challenge_priorities == "uniform" else (
                 0.0 if u < 0.5 else 1.0
             )
             self.outstanding[(peer, rnd)] = priority
-            out.append(
-                (KIND_CHALLENGE, peer, Challenge(self.node_id, peer, rnd, priority))
-            )
-        return out
+            priorities[peer] = priority
+        return priorities
 
     # -- (5) transaction --------------------------------------------------
 

@@ -152,16 +152,16 @@ class Simulation:
                 if self._spawn[i] > rnd:
                     continue
                 outgoing = n.run_round(deliveries.get(n.node_id, []), rnd)
-                for kind, receiver, payload in outgoing:
+                for kind, receivers, payload in outgoing:
                     if kind == KIND_BLOCK:
                         blocks_proposed += 1
                         result.leader_counts[n.node_id] = (
                             result.leader_counts.get(n.node_id, 0) + 1
                         )
-                    if receiver is None:
+                    if receivers is None:
                         self.network.broadcast(kind, n.node_id, payload, rnd)
                     else:
-                        self.network.send(kind, n.node_id, receiver, payload, rnd)
+                        self.network.send(kind, n.node_id, receivers, payload, rnd)
 
             self._accumulate_election_scores(rnd, score_sums)
             row = self._metrics_row(rnd, blocks_proposed, truth_malicious)

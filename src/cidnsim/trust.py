@@ -20,7 +20,6 @@ from typing import Mapping
 __all__ = [
     "UNSURE",
     "TrustParams",
-    "ChallengeOutcome",
     "PeerTrustState",
     "HostTrustState",
     "satisfaction",
@@ -99,27 +98,6 @@ class TrustParams:
 
 
 @dataclass(frozen=True)
-class ChallengeOutcome:
-    """A challenge's expected priority and the priority actually answered.
-
-    ``actual`` is either a priority in [0,1] or the ``UNSURE`` sentinel.
-    """
-
-    expected: float
-    actual: float | _Unsure
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.expected <= 1.0:
-            raise ValueError(f"expected priority out of [0,1]: {self.expected}")
-        if not isinstance(self.actual, _Unsure) and not 0.0 <= self.actual <= 1.0:
-            raise ValueError(f"actual priority out of [0,1]: {self.actual}")
-
-    @property
-    def is_unsure(self) -> bool:
-        return isinstance(self.actual, _Unsure)
-
-
-@dataclass(frozen=True)
 class PeerTrustState:
     """Running per-(observer, peer) values: satisfaction, Unsure rate, credibility."""
 
@@ -153,11 +131,14 @@ def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
-def satisfaction(c: ChallengeOutcome) -> float:
-    """Satisfaction with an answered challenge: one minus the priority gap."""
-    if c.is_unsure:
+def satisfaction(expected: float, actual: float | _Unsure) -> float:
+    """Satisfaction with an answered challenge: one minus the gap between the
+    priority it carried and the priority answered, both in [0,1]."""
+    if isinstance(actual, _Unsure):
         raise ValueError("satisfaction is undefined for Unsure; use update_unsure")
-    return 1.0 - abs(c.expected - c.actual)
+    if not (0.0 <= expected <= 1.0 and 0.0 <= actual <= 1.0):
+        raise ValueError(f"priorities out of [0,1]: expected {expected}, actual {actual}")
+    return 1.0 - abs(expected - actual)
 
 
 def update_satisfaction(

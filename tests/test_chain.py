@@ -192,6 +192,26 @@ def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
     assert remembered == [hashlib.sha256(signed).digest()]
 
 
+def test_a_transaction_builds_empty_evidence_only_for_hosts_without_evidence(
+    monkeypatch, registry_and_keys
+):
+    _, keys_ = registry_and_keys
+    evidence = {h: EvidenceRecord(h, (), 3, 4) for h in ("10.0.0.1", "10.0.0.2")}
+    built = []
+
+    class CountingRecord(EvidenceRecord):
+        def __post_init__(self):
+            built.append(self.host)
+            super().__post_init__()
+
+    monkeypatch.setattr(chain_module, "EvidenceRecord", CountingRecord)
+    trusts = {"10.0.0.1": 0.3, "10.0.0.2": 0.6, "10.0.0.3": 0.5}
+    tx = build_transaction(keys_[0], 1, {}, trusts, evidence)
+    assert built == ["10.0.0.3"]
+    assert tx.evidence_list[:2] == (evidence["10.0.0.1"], evidence["10.0.0.2"])
+    assert dataclasses.astuple(tx.evidence_list[2]) == ("10.0.0.3", (), 0, 0)
+
+
 # -- blocks -----------------------------------------------------------------
 
 

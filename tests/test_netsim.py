@@ -28,10 +28,10 @@ def test_send_delivers_once_in_order():
     net = Network(seed=1)
     net.add_node("a")
     net.add_node("b")
-    net.send(KIND_RESPONSE, "a", "b", "resp", rnd=1)
-    net.send(KIND_CHALLENGE, "a", "b", "ch", rnd=1)
-    net.send(KIND_TRANSACTION, "a", "b", "tx", rnd=1)
-    net.send(KIND_BLOCK, "a", "b", "blk", rnd=1)
+    net.send(KIND_RESPONSE, "a", ("b",), "resp", rnd=1)
+    net.send(KIND_CHALLENGE, "a", ("b",), "ch", rnd=1)
+    net.send(KIND_TRANSACTION, "a", ("b",), "tx", rnd=1)
+    net.send(KIND_BLOCK, "a", ("b",), "blk", rnd=1)
     delivered = net.step(1)
     # per sender: blocks, then transactions, challenges, responses
     assert [m.payload for m in delivered["b"]] == ["blk", "tx", "ch", "resp"]
@@ -52,7 +52,7 @@ def test_delay_holds_messages():
     net = Network(seed=1, delay_rounds=2)
     net.add_node("a")
     net.add_node("b")
-    net.send(KIND_TRANSACTION, "a", "b", "late", rnd=1)
+    net.send(KIND_TRANSACTION, "a", ("b",), "late", rnd=1)
     assert net.step(1) == {}
     assert net.step(2) == {}
     assert net.step(3)["b"][0].payload == "late"
@@ -63,14 +63,14 @@ def test_drop_probability_extremes():
     always.add_node("a")
     always.add_node("b")
     for rnd in range(100):
-        always.send(KIND_TRANSACTION, "a", "b", rnd, rnd)
+        always.send(KIND_TRANSACTION, "a", ("b",), rnd, rnd)
     assert delivered_count(always) == 0
 
     never = Network(seed=7, drop_prob=0.0)
     never.add_node("a")
     never.add_node("b")
     for rnd in range(100):
-        never.send(KIND_TRANSACTION, "a", "b", rnd, rnd)
+        never.send(KIND_TRANSACTION, "a", ("b",), rnd, rnd)
     assert delivered_count(never) == 100
 
 
@@ -79,7 +79,7 @@ def test_drop_rate_is_roughly_calibrated():
     net.add_node("a")
     net.add_node("b")
     for i in range(20_000):
-        net.send(KIND_TRANSACTION, "a", "b", i, 0)
+        net.send(KIND_TRANSACTION, "a", ("b",), i, 0)
     survived = delivered_count(net)
     assert survived / 20_000 == pytest.approx(0.7, abs=0.02)
 
@@ -94,8 +94,8 @@ def test_drop_streams_are_per_pair():
         out = []
         for i in range(200):
             if extra_link:
-                net.send(KIND_TRANSACTION, "a", "c", i, 0)
-            net.send(KIND_TRANSACTION, "a", "b", i, 0)
+                net.send(KIND_TRANSACTION, "a", ("c",), i, 0)
+            net.send(KIND_TRANSACTION, "a", ("b",), i, 0)
         for m in net.step(0).get("b", []):
             out.append(m.payload)
         return out
@@ -126,9 +126,9 @@ def test_every_receiver_of_a_broadcast_gets_the_same_message():
 
 class PerCopyNetwork:
     """The fabric's rule, one copy per receiver: each copy is dropped on its
-    (sender, receiver) stream, a broadcast sends one copy per member in
-    membership order, and ``step`` sorts the due copies by sender, kind and
-    receiver, keeping the order of sending among equals."""
+    (sender, receiver) stream, a send makes one copy per receiver named and a
+    broadcast one per member, in that order, and ``step`` sorts the due copies
+    by sender, kind and receiver, keeping the order of sending among equals."""
 
     ORDER = {KIND_BLOCK: 0, KIND_TRANSACTION: 1, KIND_CHALLENGE: 2, KIND_RESPONSE: 3}
 
@@ -140,18 +140,18 @@ class PerCopyNetwork:
         if node not in self.nodes:
             self.nodes.append(node)
 
-    def send(self, kind, sender, receiver, payload, rnd):
-        if self.drop_prob > 0.0:
-            key = ("drop", sender, receiver)
-            if key not in self.streams:
-                self.streams[key] = derived_rng(self.seed, *key)
-            if self.streams[key].random() < self.drop_prob:
-                return
-        self.pending.append((kind, sender, receiver, payload, rnd + self.delay))
+    def send(self, kind, sender, receivers, payload, rnd):
+        for receiver in receivers:
+            if self.drop_prob > 0.0:
+                key = ("drop", sender, receiver)
+                if key not in self.streams:
+                    self.streams[key] = derived_rng(self.seed, *key)
+                if self.streams[key].random() < self.drop_prob:
+                    continue
+            self.pending.append((kind, sender, receiver, payload, rnd + self.delay))
 
     def broadcast(self, kind, sender, payload, rnd):
-        for receiver in self.nodes:
-            self.send(kind, sender, receiver, payload, rnd)
+        self.send(kind, sender, self.nodes, payload, rnd)
 
     def step(self, rnd):
         due = [c for c in self.pending if c[4] <= rnd]
@@ -164,10 +164,12 @@ class PerCopyNetwork:
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "d"])
+# "e" is never a member
+_RECEIVERS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True, max_size=5)
 _KINDS = st.sampled_from([KIND_BLOCK, KIND_TRANSACTION, KIND_CHALLENGE, KIND_RESPONSE])
 _OPS = st.one_of(
     st.tuples(st.just("add_node"), _NAMES),
-    st.tuples(st.just("send"), _KINDS, _NAMES, _NAMES, st.integers(0, 8)),
+    st.tuples(st.just("send"), _KINDS, _NAMES, _RECEIVERS.map(tuple), st.integers(0, 8)),
     st.tuples(st.just("broadcast"), _KINDS, _NAMES, st.integers(0, 8)),
     st.tuples(st.just("step"), st.integers(0, 10)),
 )
@@ -180,6 +182,22 @@ _OPS = st.one_of(
     seed=st.integers(0, 2**16),
     ops=st.lists(_OPS, max_size=60),
 )
+# no receiver, one, several, and one outside the membership
+@example(
+    drop_prob=0.3,
+    delay_rounds=1,
+    seed=3,
+    ops=[
+        ("add_node", "a"),
+        ("add_node", "b"),
+        ("add_node", "c"),
+        ("send", KIND_CHALLENGE, "a", (), 1),
+        ("send", KIND_RESPONSE, "b", ("a",), 1),
+        ("send", KIND_CHALLENGE, "c", ("b", "a", "c"), 1),
+        ("send", KIND_TRANSACTION, "a", ("e", "b"), 1),
+        ("step", 2),
+    ],
+)
 def test_each_receiver_gets_what_a_per_copy_fabric_delivers(
     drop_prob, delay_rounds, seed, ops
 ):
@@ -190,9 +208,9 @@ def test_each_receiver_gets_what_a_per_copy_fabric_delivers(
             net.add_node(*args)
             reference.add_node(*args)
         elif op == "send":
-            kind, sender, receiver, rnd = args
-            net.send(kind, sender, receiver, payload, rnd)
-            reference.send(kind, sender, receiver, payload, rnd)
+            kind, sender, receivers, rnd = args
+            net.send(kind, sender, receivers, payload, rnd)
+            reference.send(kind, sender, receivers, payload, rnd)
         elif op == "broadcast":
             kind, sender, rnd = args
             net.broadcast(kind, sender, payload, rnd)

@@ -32,8 +32,8 @@ from cidnsim.consensus import (
     propose,
 )
 from cidnsim.keys import KeyPair, KeyRegistry
-from cidnsim.netsim import KIND_BLOCK, Message
-from cidnsim.node import Behavior, Challenge, Node, RuntimeContext
+from cidnsim.netsim import KIND_BLOCK, KIND_CHALLENGE, KIND_RESPONSE, Message, Network
+from cidnsim.node import Behavior, Node, RuntimeContext
 from cidnsim.simulation import Simulation, key_for
 from cidnsim.trust import UNSURE, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
@@ -76,8 +76,9 @@ def make_node(behavior: Behavior, n_nodes: int = 2, know_prob: float = 1.0) -> N
     return node
 
 
-def challenge_to(node: Node, priority: float = 0.8, rnd: int = 5) -> Challenge:
-    return Challenge(node.other_ids[0], node.node_id, rnd, priority)
+def answer(node: Node, priority: float = 0.8, rnd: int = 5):
+    """The node's answer to a challenge of ``priority`` from its first peer."""
+    return node.answer_challenge(node.other_ids[0], priority, rnd)
 
 
 # -- challenge responses ----------------------------------------------------
@@ -85,35 +86,28 @@ def challenge_to(node: Node, priority: float = 0.8, rnd: int = 5) -> Challenge:
 
 def test_honest_node_echoes_priority_when_knowledgeable():
     node = make_node(Behavior(kind="honest"))
-    resp = node.respond_to_challenge(challenge_to(node, 0.8), rnd=5)
-    assert resp.answer == 0.8
-    assert resp.target == node.node_id
+    assert answer(node, 0.8, rnd=5) == 0.8
 
 
 def test_ignorant_node_answers_unsure():
     node = make_node(Behavior(kind="honest"), know_prob=0.0)
-    resp = node.respond_to_challenge(challenge_to(node), rnd=5)
-    assert resp.answer is UNSURE
+    assert answer(node, rnd=5) is UNSURE
 
 
 def test_sybil_always_unsure():
     node = make_node(Behavior(kind="sybil", spawn_round=3))
-    resp = node.respond_to_challenge(challenge_to(node), rnd=50)
-    assert resp.answer is UNSURE
+    assert answer(node, rnd=50) is UNSURE
 
 
 def test_betrayal_flips_answers_only_after_turning():
     node = make_node(Behavior(kind="betrayal", turn_round=10))
-    before = node.respond_to_challenge(challenge_to(node, 0.8), rnd=9)
-    after = node.respond_to_challenge(challenge_to(node, 0.8), rnd=10)
-    assert before.answer == 0.8
-    assert after.answer == pytest.approx(0.2)
+    assert answer(node, 0.8, rnd=9) == 0.8
+    assert answer(node, 0.8, rnd=10) == pytest.approx(0.2)
 
 
 def test_colluder_lies_on_challenges():
     node = make_node(Behavior(kind="collusion", group_id=0))
-    resp = node.respond_to_challenge(challenge_to(node, 0.1), rnd=5)
-    assert resp.answer == pytest.approx(0.9)
+    assert answer(node, 0.1, rnd=5) == pytest.approx(0.9)
 
 
 @pytest.mark.parametrize("delay", [0, 2])
@@ -128,10 +122,10 @@ def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
     evaluate = Node._evaluate_response
     unmatched = []
 
-    def checked(node, resp):
-        if (resp.target, resp.sent_round) not in node.outstanding:
-            unmatched.append(resp)
-        evaluate(node, resp)
+    def checked(node, peer, sent_round, answer):
+        if (peer, sent_round) not in node.outstanding:
+            unmatched.append((node.node_id, peer, sent_round, answer))
+        evaluate(node, peer, sent_round, answer)
 
     monkeypatch.setattr(Node, "_evaluate_response", checked)
     bound = (2 * max(delay, 1) + 1) * (len(config.nodes) - 1)
@@ -143,6 +137,28 @@ def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
     Simulation(config).run(round_hook=check)
     assert max(held) <= bound
     assert unmatched == []
+
+
+def test_a_round_sends_at_most_one_challenge_and_one_response_message_per_member(
+    monkeypatch,
+):
+    config = small_config(rounds=12, network={"challenge_prob": 1.0})
+    sends = Counter()
+    send = Network.send
+
+    def counted(net, kind, sender, receivers, payload, rnd):
+        sends[rnd, kind, sender] += 1
+        send(net, kind, sender, receivers, payload, rnd)
+
+    monkeypatch.setattr(Network, "send", counted)
+    sim = Simulation(config)
+    sim.run()
+    assert max(sends.values()) == 1
+    # every member challenges every round, and answers from the second on
+    members = [n.node_id for n in sim.nodes]
+    for rnd in range(1, config.rounds + 1):
+        assert [sends[rnd, KIND_CHALLENGE, m] for m in members] == [1] * len(members)
+        assert [sends[rnd, KIND_RESPONSE, m] for m in members] == [rnd > 1] * len(members)
 
 
 def test_behavior_schedule():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cidnsim.trust import (
     MAX_INTERVAL_LEN,
     UNSURE,
-    ChallengeOutcome,
     HostTrustState,
     PeerTrustState,
     TrustParams,
@@ -74,21 +73,20 @@ def test_params_rejects_out_of_range(field, value):
 
 def test_outcome_rejects_out_of_range():
     with pytest.raises(ValueError):
-        ChallengeOutcome(expected=1.2, actual=0.5)
+        satisfaction(expected=1.2, actual=0.5)
     with pytest.raises(ValueError):
-        ChallengeOutcome(expected=0.5, actual=-0.1)
-    assert ChallengeOutcome(expected=0.5, actual=UNSURE).is_unsure
+        satisfaction(expected=0.5, actual=-0.1)
 
 
 # -- satisfaction and the credibility EWMA ----------------------------------
 
 
 def test_satisfaction_examples():
-    assert satisfaction(ChallengeOutcome(0.7, 0.7)) == 1.0
-    assert satisfaction(ChallengeOutcome(0.0, 1.0)) == 0.0
-    assert satisfaction(ChallengeOutcome(0.25, 0.75)) == pytest.approx(0.5)
+    assert satisfaction(0.7, 0.7) == 1.0
+    assert satisfaction(0.0, 1.0) == 0.0
+    assert satisfaction(0.25, 0.75) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        satisfaction(ChallengeOutcome(0.5, UNSURE))
+        satisfaction(0.5, UNSURE)
 
 
 @given(st.lists(unit, min_size=1, max_size=60))
