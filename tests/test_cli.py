@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from cidnsim.config import load_config
 from cidnsim.consensus import Reason, propose, validate_block
 from cidnsim.experiments import spearman_rho
 from cidnsim.keys import KeyPair
+from cidnsim.netsim import Network
 from cidnsim.simulation import membership
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -68,6 +70,22 @@ def test_run_writes_all_outputs(tiny_config, tmp_path):
     assert sum(s["mining_attempts"] for s in summaries.values()) > 0
     for s in summaries.values():
         assert sum(s["invalid_reasons"].values()) == s["invalid_blocks"]
+
+
+def test_leader_counts_sum_to_the_blocks_proposed_column(tiny_config, tmp_path):
+    config, _ = tiny_config
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    with open(out / "metrics.csv", newline="") as fh:
+        proposed = sum(int(row["blocks_proposed"]) for row in csv.DictReader(fh))
+    result = json.loads((out / "result.json").read_text())
+    assert proposed > 0
+    assert sum(result["leader_counts"].values()) == proposed
+    assert result["leader_counts"] == {
+        node_id: s["blocks_mined"]
+        for node_id, s in result["node_summaries"].items()
+        if s["blocks_mined"]
+    }
 
 
 def test_run_is_byte_deterministic(tiny_config, tmp_path):
@@ -429,8 +447,8 @@ def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
-# SHA-256 of the exports of the four bundled scenarios and of HARD_LOTTERY.  A
-# change that alters them changes simulated behaviour, and must say so where
+# SHA-256 of the exports of the four bundled scenarios, of HARD_LOTTERY and of
+# late_spawn_config().  A change that alters them changes simulated behaviour, and must say so where
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
@@ -452,6 +470,10 @@ GOLDEN_DIGESTS = {
     "hard_lottery": (
         "7202361e0e0933f2aa4ba213bc857d828fdb74e823c72cd0f3abd257bcc6096c",
         "47fc0b18a4940e9577dfc4988493012fc3b2a7e1a5d9299abb083bba320ecc5f",
+    ),
+    "late_spawn": (
+        "c654e461fe0482f677fe3c8e13ee0b51996f171c8544dbfd3c2367461b6d8c72",
+        "347d41f0600e3ab181fb0db281b15ae4161b3ed862aea9853d0d5cfde82b40e2",
     ),
 }
 
@@ -483,6 +505,16 @@ HARD_LOTTERY = {
 }
 
 
+def late_spawn_config():
+    """The sybil scenario with node 0 turned into a sybil that joins at round
+    7, after the nodes behind it, on a lossy, delayed network: the membership
+    grows twice, out of index order, while messages are dropped and held."""
+    d = json.loads((SCENARIOS / "sybil.json").read_text())
+    d["nodes"][0] = {"behavior": {"kind": "sybil", "spawn_round": 7}}
+    d["network"].update(drop_prob=0.05, delay_rounds=2)
+    return d
+
+
 def export_digests(config, out):
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     return tuple(
@@ -502,6 +534,37 @@ def test_hard_lottery_exports_match_golden_digests(tmp_path):
     config.write_text(json.dumps(HARD_LOTTERY))
     digests = export_digests(config, tmp_path / "out")
     assert digests == GOLDEN_DIGESTS["hard_lottery"]
+
+
+def test_late_spawn_exports_match_golden_digests(tmp_path):
+    config = tmp_path / "late_spawn.json"
+    config.write_text(json.dumps(late_spawn_config()))
+    digests = export_digests(config, tmp_path / "out")
+    assert digests == GOLDEN_DIGESTS["late_spawn"]
+
+
+@pytest.mark.parametrize(
+    "name", ["baseline_honest", "collusion", "sybil", "betrayal", "hard_lottery", "late_spawn"]
+)
+def test_exports_do_not_depend_on_the_order_of_delivery(name, tmp_path, monkeypatch):
+    """Each receiver's messages handed over in a seeded random order export
+    the same bytes: no reader depends on the order of a round's deliveries."""
+    step = Network.step
+    rng = random.Random(19)
+
+    def shuffled_step(self, rnd):
+        delivered = step(self, rnd)
+        for inbox in delivered.values():
+            rng.shuffle(inbox)
+        return delivered
+
+    monkeypatch.setattr(Network, "step", shuffled_step)
+    generated = {"hard_lottery": HARD_LOTTERY, "late_spawn": late_spawn_config()}
+    config = SCENARIOS / f"{name}.json"
+    if name in generated:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(generated[name]))
+    assert export_digests(config, tmp_path / "out") == GOLDEN_DIGESTS[name]
 
 
 # -- fuzz: one value of a valid input replaced by any JSON value ------------
