@@ -50,7 +50,6 @@ def _run_one(config: SimConfig, out_dir: str, verbose: bool) -> dict:
 
     chain_path = os.path.join(out_dir, "chain.jsonl")
     chain_mod.export_chain(result.chain, result.registry, chain_path)
-    result.chain_path = chain_path
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     extra = sorted({k for row in result.rounds for k in row} - set(BASE_COLUMNS))

@@ -2,12 +2,12 @@
 
 Every random decision draws from a stream derived from (seed, purpose,
 participants), so adding a node never perturbs the streams of existing
-ones.  Messages scheduled and not dropped are delivered exactly once, in a
-deterministic order.
+ones.  Messages scheduled and not dropped are delivered exactly once; each
+receiver gets its messages in the order they were sent.
 
-A scheduled message is held once, with the receivers whose copy survived:
-a broadcast to N members, or a send to a tuple of receivers, is one
-``Message``, and every receiver is handed that same object.
+The fabric keeps no membership: every send names its receivers.  A
+scheduled message is held once, with the receivers whose copy survived,
+and every receiver is handed that same object.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from .encoding import sha256
 
@@ -35,14 +35,6 @@ KIND_BLOCK = "block-proposal"
 KIND_CHALLENGE = "challenge"
 KIND_RESPONSE = "challenge-response"
 
-_KIND_ORDER = {
-    KIND_BLOCK: 0,
-    KIND_TRANSACTION: 1,
-    KIND_CHALLENGE: 2,
-    KIND_RESPONSE: 3,
-}
-
-
 def derived_rng(seed: int, *tags: object) -> random.Random:
     """Independent stream keyed by the run seed plus arbitrary tags."""
     material = repr((seed,) + tags).encode()
@@ -60,7 +52,7 @@ class Message(NamedTuple):
 
 @dataclass
 class Network:
-    """Broadcast fabric with per-copy loss and fixed delay.
+    """Point-to-point fabric with per-copy loss and fixed delay.
 
     A message sent in round r is due in round r + ``delay_rounds``; ``step``
     runs at the start of a round, before anything is sent in it, so the
@@ -70,13 +62,11 @@ class Network:
     seed: int
     drop_prob: float = 0.0
     delay_rounds: int = 0
-    nodes: list[str] = field(default_factory=list)
     # each scheduled message with the receivers whose copy was not dropped
     _pending: list[tuple[Message, tuple[str, ...]]] = field(default_factory=list)
 
-    def add_node(self, node_id: str) -> None:
-        if node_id not in self.nodes:
-            self.nodes.append(node_id)
+    def __post_init__(self) -> None:
+        self._drop_streams: dict[tuple, random.Random] = {}
 
     def _drop_rng(self, sender: str, receiver: str) -> random.Random:
         key = ("drop", sender, receiver)
@@ -86,11 +76,8 @@ class Network:
             self._drop_streams[key] = rng
         return rng
 
-    def __post_init__(self) -> None:
-        self._drop_streams: dict[tuple, random.Random] = {}
-
-    def _schedule(
-        self, kind: str, sender: str, receivers: Iterable[str], payload: Any, rnd: int
+    def send(
+        self, kind: str, sender: str, receivers: tuple[str, ...], payload: Any, rnd: int
     ) -> None:
         """Schedule one message for ``receivers``, each copy dropped on its
         own pair's stream, drawn in receiver order.  A lossless network draws
@@ -100,31 +87,18 @@ class Network:
                 r for r in receivers
                 if self._drop_rng(sender, r).random() >= self.drop_prob
             )
-        else:
-            receivers = tuple(receivers)
         if receivers:
             self._pending.append(
                 (Message(kind, sender, payload, rnd + self.delay_rounds), receivers)
             )
 
-    def send(
-        self, kind: str, sender: str, receivers: tuple[str, ...], payload: Any, rnd: int
-    ) -> None:
-        """One independently dropped copy per receiver named, member or not."""
-        self._schedule(kind, sender, receivers, payload, rnd)
-
-    def broadcast(self, kind: str, sender: str, payload: Any, rnd: int) -> None:
-        """One independently dropped copy per current member (sender included)."""
-        self._schedule(kind, sender, self.nodes, payload, rnd)
-
     def step(self, rnd: int) -> dict[str, list[Message]]:
-        """Deliver everything due by ``rnd``.  Each receiver's list is sorted
-        by sender, then kind, and keeps the order of sending within those."""
+        """Deliver everything due by ``rnd``, each receiver's messages in the
+        order they were sent."""
         due, pending = [], []
         for entry in self._pending:
             (due if entry[0].deliver_at <= rnd else pending).append(entry)
         self._pending = pending
-        due.sort(key=lambda e: (e[0].sender, _KIND_ORDER.get(e[0].kind, 9)))
         out: dict[str, list[Message]] = {}
         for m, receivers in due:
             for r in receivers:

@@ -214,28 +214,29 @@ class Node:
             cache[other_index] = rng
         return rng
 
-    def _sync_peers(self, rnd: int) -> list[str]:
-        members = self.ctx.validation_context.members_at(rnd)
-        peers = [m for m in members if m != self.node_id]
-        for peer in peers:
-            if peer not in self.peer_trust:
+    def _sync_peers(self, rnd: int) -> tuple[str, ...]:
+        """The members at ``rnd``, after giving each peer not met before a
+        fresh trust state."""
+        members = tuple(self.ctx.validation_context.members_at(rnd))
+        for peer in members:
+            if peer != self.node_id and peer not in self.peer_trust:
                 self.peer_trust[peer] = PeerTrustState.fresh(self.ctx.trust_params)
-        return peers
+        return members
 
     # -- round loop -------------------------------------------------------
 
     def run_round(
         self, deliveries: Sequence[Message], rnd: int
-    ) -> list[tuple[str, tuple[str, ...] | None, Any]]:
-        """Process one round; returns outgoing (kind, receivers, payload),
-        where receivers None is a broadcast to every member.
+    ) -> list[tuple[str, tuple[str, ...], Any]]:
+        """Process one round; returns outgoing (kind, receivers, payload).
 
+        A transaction or a block goes to every member, this node included.
         A round sends at most one challenge message, whose payload is
         (round, {challenged peer: priority}), and one response message,
         whose payload is {challenger: (round challenged, answer)}; each
         receiver reads its own entry."""
-        peers = self._sync_peers(rnd)
-        out: list[tuple[str, tuple[str, ...] | None, Any]] = []
+        members = self._sync_peers(rnd)
+        out: list[tuple[str, tuple[str, ...], Any]] = []
 
         inbox: dict[str, list[Message]] = {
             KIND_BLOCK: [], KIND_TRANSACTION: [], KIND_CHALLENGE: [], KIND_RESPONSE: []
@@ -273,20 +274,20 @@ class Node:
         for m in responses:
             self._evaluate_response(m.sender, *m.payload[me])
         self._expire_challenges(rnd)
-        priorities = self._issue_challenges(peers, rnd)
+        priorities = self._issue_challenges(members, rnd)
         if priorities:
             out.append((KIND_CHALLENGE, tuple(priorities), (rnd, priorities)))
 
         # (5) publish a transaction when the local lists changed
         tx = self._maybe_build_transaction(rnd)
         if tx is not None:
-            out.append((KIND_TRANSACTION, None, tx))
+            out.append((KIND_TRANSACTION, members, tx))
 
         # (6) consensus attempt
         block = self._attempt_mining(rnd)
         if block is not None:
             self.blocks_mined += 1
-            out.append((KIND_BLOCK, None, block))
+            out.append((KIND_BLOCK, members, block))
         return out
 
     # -- (1) chain --------------------------------------------------------
@@ -426,12 +427,14 @@ class Node:
             if key[1] > horizon
         }
 
-    def _issue_challenges(self, peers: Sequence[str], rnd: int) -> dict[str, float]:
+    def _issue_challenges(self, members: Sequence[str], rnd: int) -> dict[str, float]:
         """Challenge the peers this round's draws pick; returns each
         challenged peer's priority."""
         net = self.ctx.network
         priorities = {}
-        for peer in peers:
+        for peer in members:
+            if peer == self.node_id:
+                continue
             rng = self._pair_rng(
                 self._challenge_rngs, "challenge", self.ctx.index_of[peer]
             )

@@ -71,7 +71,6 @@ class ScenarioResult:
     node_summaries: dict[str, dict] = field(default_factory=dict)
     chain: Chain | None = None
     registry: KeyRegistry | None = None
-    chain_path: str | None = None
     wall_time: float = 0.0
 
 
@@ -83,7 +82,6 @@ class Simulation:
         host_pmal = {
             self.host_ids[i]: config.hosts[i].p_mal for i in range(len(config.hosts))
         }
-        spawn = [spec.behavior.spawn_round for spec in config.nodes]
         ids = [k.node_id for k in self.keys]
         collusion_groups = {
             ids[i]: spec.behavior.group_id
@@ -118,13 +116,9 @@ class Simulation:
             )
             for i, spec in enumerate(config.nodes)
         ]
-        self._spawn = spawn
-        for i, n in enumerate(self.nodes):
-            if spawn[i] == 0:
-                self.network.add_node(n.node_id)
-
-    def honest_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.behavior.kind == "honest"]
+        self.honest = [n for n in self.nodes if n.behavior.kind == "honest"]
+        # the replica that the metrics and the export read
+        self.reference = (self.honest or self.nodes)[0]
 
     def run(
         self,
@@ -141,39 +135,33 @@ class Simulation:
             if h.p_mal >= 0.5
         }
         score_sums: dict[str, float] = {n.node_id: 0.0 for n in self.nodes}
+        members_at = self.ctx.validation_context.members_at
 
         for rnd in range(1, cfg.rounds + 1):
-            for i, n in enumerate(self.nodes):
-                if self._spawn[i] == rnd:
-                    self.network.add_node(n.node_id)
             deliveries = self.network.step(rnd)
+            members = members_at(rnd)
             blocks_proposed = 0
-            for i, n in enumerate(self.nodes):
-                if self._spawn[i] > rnd:
-                    continue
-                outgoing = n.run_round(deliveries.get(n.node_id, []), rnd)
+            for node_id in members:
+                n = self.nodes[self.ctx.index_of[node_id]]
+                outgoing = n.run_round(deliveries.get(node_id, []), rnd)
                 for kind, receivers, payload in outgoing:
                     if kind == KIND_BLOCK:
                         blocks_proposed += 1
-                        result.leader_counts[n.node_id] = (
-                            result.leader_counts.get(n.node_id, 0) + 1
-                        )
-                    if receivers is None:
-                        self.network.broadcast(kind, n.node_id, payload, rnd)
-                    else:
-                        self.network.send(kind, n.node_id, receivers, payload, rnd)
+                    self.network.send(kind, node_id, receivers, payload, rnd)
 
-            self._accumulate_election_scores(rnd, score_sums)
+            self._accumulate_election_scores(rnd, members, score_sums)
             row = self._metrics_row(rnd, blocks_proposed, truth_malicious)
             result.rounds.append(row)
             if verbose and event_sink is not None:
-                event_sink(self._snapshot(rnd))
+                event_sink(self._snapshot(rnd, members))
             if round_hook is not None:
                 round_hook(self, rnd)
 
-        reference = self.honest_nodes() or self.nodes
-        result.chain = reference[0].replica
+        result.chain = self.reference.replica
         result.registry = self.ctx.validation_context.registry
+        result.leader_counts = {
+            n.node_id: n.blocks_mined for n in self.nodes if n.blocks_mined
+        }
         for n in self.nodes:
             rounds_active = max(1, cfg.rounds - n.behavior.spawn_round)
             result.node_summaries[n.node_id] = {
@@ -188,27 +176,26 @@ class Simulation:
         result.wall_time = time.monotonic() - started
         return result
 
-    def _accumulate_election_scores(self, rnd: int, sums: dict[str, float]) -> None:
-        """Stake x average-credibility x elapsed-time factor, from the view of
-        the first honest replica; feeds the fairness statistic in reports."""
-        reference = (self.honest_nodes() or self.nodes)[0].replica
-        members = self.ctx.validation_context.members_at(rnd)
+    def _accumulate_election_scores(
+        self, rnd: int, members: list[str], sums: dict[str, float]
+    ) -> None:
+        """Stake x average-credibility x elapsed-time factor of each member,
+        from the view of the reference replica; feeds the fairness statistic
+        in reports."""
+        reference = self.reference.replica
         tau = self.config.trust.initial_trust
         cp = self.config.consensus
-        for n in self.nodes:
-            if n.behavior.spawn_round > rnd:
-                continue
-            avg = chain_average_credibility(reference, n.node_id, members, tau)
-            stake = compute_stake(leader_trust_values(reference, n.node_id, ()))
-            t = min(time_since_last_block(reference, n.node_id, rnd), cp.t_cap)
-            sums[n.node_id] += stake * avg * t
+        for node_id in members:
+            avg = chain_average_credibility(reference, node_id, members, tau)
+            stake = compute_stake(leader_trust_values(reference, node_id, ()))
+            t = min(time_since_last_block(reference, node_id, rnd), cp.t_cap)
+            sums[node_id] += stake * avg * t
 
     def _metrics_row(
         self, rnd: int, blocks_proposed: int, truth_malicious: set[str]
     ) -> dict:
-        honest = self.honest_nodes()
         tp = fp = fn_ = 0
-        for n in honest:
+        for n in self.honest:
             for ip in n.monitors:
                 flagged = is_blacklisted(n.host_trust[ip], self.config.trust)
                 bad = ip in truth_malicious
@@ -222,7 +209,7 @@ class Simulation:
         recall = tp / (tp + fn_) if tp + fn_ else 1.0
 
         by_class: dict[str, list[float]] = {}
-        for n in honest:
+        for n in self.honest:
             for peer, st in n.peer_trust.items():
                 idx = self.ctx.index_of[peer]
                 kind = self.config.nodes[idx].behavior.kind
@@ -231,19 +218,19 @@ class Simulation:
             kind: sum(v) / len(v) for kind, v in by_class.items() if v
         }
 
-        reference = (honest or self.nodes)[0]
         return {
             "round": rnd,
             "blocks_proposed": blocks_proposed,
-            "chain_height": reference.replica.height,
-            "open_forks": len(reference._leaves),
+            "chain_height": self.reference.replica.height,
+            "open_forks": len(self.reference._leaves),
             "invalid_blocks": sum(n.invalid_blocks for n in self.nodes),
             "blacklist_precision": precision,
             "blacklist_recall": recall,
             **{f"mean_cred_{k}": v for k, v in sorted(mean_cred.items())},
         }
 
-    def _snapshot(self, rnd: int) -> dict:
+    def _snapshot(self, rnd: int, members: list[str]) -> dict:
+        nodes = [self.nodes[self.ctx.index_of[node_id]] for node_id in members]
         return {
             "round": rnd,
             "nodes": {
@@ -253,7 +240,6 @@ class Simulation:
                     "host_trust": {ip: st.tr_ids for ip, st in n.host_trust.items()},
                     "blacklist": sorted(n.blacklist),
                 }
-                for i, n in enumerate(self.nodes)
-                if self._spawn[i] <= rnd
+                for n in nodes
             },
         }

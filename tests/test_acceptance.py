@@ -246,7 +246,7 @@ def test_criterion_06_betrayal_containment(capsys):
 
     def hook(s, rnd):
         crds, weights = [], []
-        for n in s.honest_nodes():
+        for n in s.honest:
             if traitor not in n.peer_trust:
                 continue
             crd_map = {p: st.crd for p, st in n.peer_trust.items()}
@@ -297,7 +297,7 @@ def test_criterion_07_sybil_neutrality(capsys):
                     if n.node_id in honest
                 }
             )
-            for n in s.honest_nodes():
+            for n in s.honest:
                 for peer, st in n.peer_trust.items():
                     if s.ctx.collusion_groups.get(peer) is None and peer not in honest:
                         fake_crds.append(st.crd)

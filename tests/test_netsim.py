@@ -26,32 +26,19 @@ def delivered_count(net: Network, rnd: int = 10**9) -> int:
 
 def test_send_delivers_once_in_order():
     net = Network(seed=1)
-    net.add_node("a")
-    net.add_node("b")
     net.send(KIND_RESPONSE, "a", ("b",), "resp", rnd=1)
     net.send(KIND_CHALLENGE, "a", ("b",), "ch", rnd=1)
     net.send(KIND_TRANSACTION, "a", ("b",), "tx", rnd=1)
     net.send(KIND_BLOCK, "a", ("b",), "blk", rnd=1)
     delivered = net.step(1)
-    # per sender: blocks, then transactions, challenges, responses
-    assert [m.payload for m in delivered["b"]] == ["blk", "tx", "ch", "resp"]
+    # in the order of sending
+    assert [m.payload for m in delivered["b"]] == ["resp", "ch", "tx", "blk"]
     assert net.step(2) == {}
     assert delivered_count(net) == 0
 
 
-def test_broadcast_includes_sender():
-    net = Network(seed=1)
-    for n in ("a", "b", "c"):
-        net.add_node(n)
-    net.broadcast(KIND_TRANSACTION, "a", "x", rnd=3)
-    delivered = net.step(3)
-    assert set(delivered) == {"a", "b", "c"}
-
-
 def test_delay_holds_messages():
     net = Network(seed=1, delay_rounds=2)
-    net.add_node("a")
-    net.add_node("b")
     net.send(KIND_TRANSACTION, "a", ("b",), "late", rnd=1)
     assert net.step(1) == {}
     assert net.step(2) == {}
@@ -60,15 +47,11 @@ def test_delay_holds_messages():
 
 def test_drop_probability_extremes():
     always = Network(seed=7, drop_prob=0.999999999)
-    always.add_node("a")
-    always.add_node("b")
     for rnd in range(100):
         always.send(KIND_TRANSACTION, "a", ("b",), rnd, rnd)
     assert delivered_count(always) == 0
 
     never = Network(seed=7, drop_prob=0.0)
-    never.add_node("a")
-    never.add_node("b")
     for rnd in range(100):
         never.send(KIND_TRANSACTION, "a", ("b",), rnd, rnd)
     assert delivered_count(never) == 100
@@ -76,8 +59,6 @@ def test_drop_probability_extremes():
 
 def test_drop_rate_is_roughly_calibrated():
     net = Network(seed=3, drop_prob=0.3)
-    net.add_node("a")
-    net.add_node("b")
     for i in range(20_000):
         net.send(KIND_TRANSACTION, "a", ("b",), i, 0)
     survived = delivered_count(net)
@@ -89,8 +70,6 @@ def test_drop_streams_are_per_pair():
 
     def survivors(extra_link: bool) -> list[int]:
         net = Network(seed=5, drop_prob=0.5)
-        for n in ("a", "b", "c"):
-            net.add_node(n)
         out = []
         for i in range(200):
             if extra_link:
@@ -105,19 +84,15 @@ def test_drop_streams_are_per_pair():
 
 def test_a_lossless_network_holds_no_drop_streams():
     net = Network(seed=5, drop_prob=0.0)
-    for n in ("a", "b", "c"):
-        net.add_node(n)
     for i in range(10):
-        net.broadcast(KIND_TRANSACTION, "a", i, 0)
+        net.send(KIND_TRANSACTION, "a", ("a", "b", "c"), i, 0)
     assert delivered_count(net) == 30
     assert net._drop_streams == {}
 
 
 def test_every_receiver_of_a_broadcast_gets_the_same_message():
     net = Network(seed=1)
-    for n in ("a", "b", "c"):
-        net.add_node(n)
-    net.broadcast(KIND_BLOCK, "a", "blk", rnd=2)
+    net.send(KIND_BLOCK, "a", ("a", "b", "c"), "blk", rnd=2)
     delivered = net.step(3)
     assert sorted(delivered) == ["a", "b", "c"]
     (message,) = {id(inbox[0]): inbox[0] for inbox in delivered.values()}.values()
@@ -126,19 +101,13 @@ def test_every_receiver_of_a_broadcast_gets_the_same_message():
 
 class PerCopyNetwork:
     """The fabric's rule, one copy per receiver: each copy is dropped on its
-    (sender, receiver) stream, a send makes one copy per receiver named and a
-    broadcast one per member, in that order, and ``step`` sorts the due copies
-    by sender, kind and receiver, keeping the order of sending among equals."""
-
-    ORDER = {KIND_BLOCK: 0, KIND_TRANSACTION: 1, KIND_CHALLENGE: 2, KIND_RESPONSE: 3}
+    (sender, receiver) stream, a send makes one copy per receiver named, in
+    that order, and ``step`` hands the due copies over in the order of
+    sending."""
 
     def __init__(self, seed, drop_prob, delay_rounds):
         self.seed, self.drop_prob, self.delay = seed, drop_prob, delay_rounds
-        self.nodes, self.pending, self.streams = [], [], {}
-
-    def add_node(self, node):
-        if node not in self.nodes:
-            self.nodes.append(node)
+        self.pending, self.streams = [], {}
 
     def send(self, kind, sender, receivers, payload, rnd):
         for receiver in receivers:
@@ -150,13 +119,9 @@ class PerCopyNetwork:
                     continue
             self.pending.append((kind, sender, receiver, payload, rnd + self.delay))
 
-    def broadcast(self, kind, sender, payload, rnd):
-        self.send(kind, sender, self.nodes, payload, rnd)
-
     def step(self, rnd):
         due = [c for c in self.pending if c[4] <= rnd]
         self.pending = [c for c in self.pending if c[4] > rnd]
-        due.sort(key=lambda c: (c[1], self.ORDER[c[0]], c[2]))
         out = {}
         for kind, sender, receiver, payload, deliver_at in due:
             out.setdefault(receiver, []).append((kind, sender, payload, deliver_at))
@@ -164,13 +129,11 @@ class PerCopyNetwork:
 
 
 _NAMES = st.sampled_from(["a", "b", "c", "d"])
-# "e" is never a member
+# "e" receives but never sends
 _RECEIVERS = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), unique=True, max_size=5)
 _KINDS = st.sampled_from([KIND_BLOCK, KIND_TRANSACTION, KIND_CHALLENGE, KIND_RESPONSE])
 _OPS = st.one_of(
-    st.tuples(st.just("add_node"), _NAMES),
     st.tuples(st.just("send"), _KINDS, _NAMES, _RECEIVERS.map(tuple), st.integers(0, 8)),
-    st.tuples(st.just("broadcast"), _KINDS, _NAMES, st.integers(0, 8)),
     st.tuples(st.just("step"), st.integers(0, 10)),
 )
 
@@ -182,15 +145,12 @@ _OPS = st.one_of(
     seed=st.integers(0, 2**16),
     ops=st.lists(_OPS, max_size=60),
 )
-# no receiver, one, several, and one outside the membership
+# no receiver, one, several with the sender among them, and one that never sends
 @example(
     drop_prob=0.3,
     delay_rounds=1,
     seed=3,
     ops=[
-        ("add_node", "a"),
-        ("add_node", "b"),
-        ("add_node", "c"),
         ("send", KIND_CHALLENGE, "a", (), 1),
         ("send", KIND_RESPONSE, "b", ("a",), 1),
         ("send", KIND_CHALLENGE, "c", ("b", "a", "c"), 1),
@@ -204,17 +164,10 @@ def test_each_receiver_gets_what_a_per_copy_fabric_delivers(
     net = Network(seed=seed, drop_prob=drop_prob, delay_rounds=delay_rounds)
     reference = PerCopyNetwork(seed, drop_prob, delay_rounds)
     for payload, (op, *args) in enumerate(ops + [("step", 10**9)]):
-        if op == "add_node":
-            net.add_node(*args)
-            reference.add_node(*args)
-        elif op == "send":
+        if op == "send":
             kind, sender, receivers, rnd = args
             net.send(kind, sender, receivers, payload, rnd)
             reference.send(kind, sender, receivers, payload, rnd)
-        elif op == "broadcast":
-            kind, sender, rnd = args
-            net.broadcast(kind, sender, payload, rnd)
-            reference.broadcast(kind, sender, payload, rnd)
         else:
             delivered = {
                 receiver: [(m.kind, m.sender, m.payload, m.deliver_at) for m in inbox]

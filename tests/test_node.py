@@ -32,7 +32,14 @@ from cidnsim.consensus import (
     propose,
 )
 from cidnsim.keys import KeyPair, KeyRegistry
-from cidnsim.netsim import KIND_BLOCK, KIND_CHALLENGE, KIND_RESPONSE, Message, Network
+from cidnsim.netsim import (
+    KIND_BLOCK,
+    KIND_CHALLENGE,
+    KIND_RESPONSE,
+    KIND_TRANSACTION,
+    Message,
+    Network,
+)
 from cidnsim.node import Behavior, Node, RuntimeContext
 from cidnsim.simulation import Simulation, key_for
 from cidnsim.trust import UNSURE, TrustParams
@@ -159,6 +166,32 @@ def test_a_round_sends_at_most_one_challenge_and_one_response_message_per_member
     for rnd in range(1, config.rounds + 1):
         assert [sends[rnd, KIND_CHALLENGE, m] for m in members] == [1] * len(members)
         assert [sends[rnd, KIND_RESPONSE, m] for m in members] == [rnd > 1] * len(members)
+
+
+def test_broadcast_includes_sender(monkeypatch):
+    """A node's transaction and block name every member at the round they are
+    sent, the node itself included, as the membership grows."""
+    config = small_config(
+        nodes=[{"fp": 0.02, "fn": 0.02} for _ in range(4)]
+        + [{"behavior": {"kind": "sybil", "spawn_round": 6}}]
+    )
+    sent = []
+    send = Network.send
+
+    def recorded(net, kind, sender, receivers, payload, rnd):
+        sent.append((kind, sender, receivers, rnd))
+        send(net, kind, sender, receivers, payload, rnd)
+
+    monkeypatch.setattr(Network, "send", recorded)
+    sim = Simulation(config)
+    sim.run()
+    members_at = sim.ctx.validation_context.members_at
+    published = [s for s in sent if s[0] in (KIND_TRANSACTION, KIND_BLOCK)]
+    assert {kind for kind, *_ in published} == {KIND_TRANSACTION, KIND_BLOCK}
+    assert {len(receivers) for _, _, receivers, _ in published} == {4, 5}
+    for kind, sender, receivers, rnd in published:
+        assert sender in receivers
+        assert receivers == tuple(members_at(rnd))
 
 
 def test_behavior_schedule():
@@ -496,8 +529,9 @@ def test_invalid_reason_counts_add_up_to_invalid_blocks():
         if how != "prev_hash"
     ]
     sim = Simulation(config)
+    members = tuple(n.node_id for n in sim.nodes)
     for b in mutated:
-        sim.network.broadcast(KIND_BLOCK, genuine.header.leader_id, b, 0)
+        sim.network.send(KIND_BLOCK, genuine.header.leader_id, members, b, 0)
     result = sim.run()
 
     expected = {reason for how, reason in MUTATION_CLASSES if how != "prev_hash"}
