@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, TypeVar
 
 from .encoding import enc_bytes, enc_int, enc_list, enc_real, enc_str, sha256
 from .keys import KeyPair, KeyRegistry, verify
+from .records import Record, set_field
 
 __all__ = [
     "HASH_LEN",
@@ -51,19 +51,20 @@ def _memo_slot(name: str) -> str:
 
 
 def _memoized(method: Callable[[Any], T]) -> Callable[[Any], T]:
-    """Compute a frozen record's value once and keep it on the instance.
+    """Compute a record's value once and keep it on the instance.
 
-    The cache lives in the instance ``__dict__``, outside the dataclass
-    fields, so equality, hashing and ``dataclasses.replace`` ignore it.
+    The cache is the record's ``_memo_<name>`` slot, outside its fields, so
+    equality, hashing and ``_replace`` ignore it.
     """
     slot = _memo_slot(method.__name__)
 
     @functools.wraps(method)
     def cached(self):
         try:
-            return self.__dict__[slot]
-        except KeyError:
-            value = self.__dict__[slot] = method(self)
+            return getattr(self, slot)
+        except AttributeError:
+            value = method(self)
+            set_field(self, slot, value)
             return value
 
     return cached
@@ -74,25 +75,25 @@ def _with_memo(record: Any, **computed: Any) -> Any:
     the methods they are named after, so later calls return the objects made
     while building it rather than a second copy."""
     for name, value in computed.items():
-        record.__dict__[_memo_slot(name)] = value
+        set_field(record, _memo_slot(name), value)
     return record
 
 
-@dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(Record):
     """Justification for one host's score: alert digests plus the interval counts."""
 
-    host: str
-    alert_digests: tuple[bytes, ...]
-    normal_count: int
-    packet_count: int
+    __slots__ = ("host", "alert_digests", "normal_count", "packet_count")
 
-    def __post_init__(self) -> None:
-        if self.normal_count < 0 or self.normal_count > self.packet_count:
+    def __init__(
+        self, host: str, alert_digests: tuple[bytes, ...], normal_count: int,
+        packet_count: int,
+    ) -> None:
+        if normal_count < 0 or normal_count > packet_count:
             raise ValueError("evidence counts inconsistent")
-        for d in self.alert_digests:
+        for d in alert_digests:
             if len(d) != HASH_LEN:
                 raise ValueError("alert digest must be 32 bytes")
+        self._set(host, alert_digests, normal_count, packet_count)
 
     def encode(self) -> bytes:
         return (
@@ -103,8 +104,7 @@ class EvidenceRecord:
         )
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(Record):
     """One node's signed lists.
 
     ``seq`` is the round the transaction was built in: a node builds at most
@@ -116,15 +116,18 @@ class Transaction:
     state shares.
     """
 
-    tx_id: bytes
-    ids_id: str
-    seq: int
-    peer_list: tuple[str, ...]
-    cred_list: tuple[float, ...]
-    host_list: tuple[str, ...]
-    trust_list: tuple[float, ...]
-    evidence_list: tuple[EvidenceRecord, ...]
-    signature: bytes
+    __slots__ = ("tx_id", "ids_id", "seq", "peer_list", "cred_list", "host_list",
+                 "trust_list", "evidence_list", "signature",
+                 "_memo_encode", "_memo_digest", "_memo_peer_creds", "_memo_host_trusts")
+
+    def __init__(
+        self, tx_id: bytes, ids_id: str, seq: int, peer_list: tuple[str, ...],
+        cred_list: tuple[float, ...], host_list: tuple[str, ...],
+        trust_list: tuple[float, ...], evidence_list: tuple[EvidenceRecord, ...],
+        signature: bytes,
+    ) -> None:
+        self._set(tx_id, ids_id, seq, peer_list, cred_list, host_list, trust_list,
+                  evidence_list, signature)
 
     def body_bytes(self) -> bytes:
         """The signed lists, which ``tx_id`` hashes: the signed bytes after
@@ -185,25 +188,18 @@ def build_transaction(
     ev = tuple(
         evidence[h] if h in evidence else EvidenceRecord(h, (), 0, 0) for h in trusts
     )
-    unsigned = Transaction(
-        tx_id=b"",
-        ids_id=key.node_id,
-        seq=seq,
-        peer_list=tuple(creds),
-        cred_list=tuple(creds.values()),
-        host_list=tuple(trusts),
-        trust_list=tuple(trusts.values()),
-        evidence_list=ev,
-        signature=b"",
+    lists = (
+        key.node_id, seq, tuple(creds), tuple(creds.values()), tuple(trusts),
+        tuple(trusts.values()), ev,
     )
     # the body leaves out the id and the signature, so it is the signed
     # transaction's body too; the bytes signed, with the signature, are the
     # signed transaction's encoding
-    body = unsigned.body_bytes()
+    body = Transaction(b"", *lists, b"").body_bytes()
     tx_id = sha256(body)
     signed = tx_id + body
     signature = key.sign(signed)
-    tx = replace(unsigned, tx_id=tx_id, signature=signature)
+    tx = Transaction(tx_id, *lists, signature)
     return _with_memo(
         tx, encode=signed + enc_bytes(signature), peer_creds=creds, host_trusts=trusts
     )
@@ -229,14 +225,15 @@ def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
     return verify(public, tx.signature, tx.signed_bytes())
 
 
-@dataclass(frozen=True)
-class BlockHeader:
-    block_id: bytes
-    leader_id: str
-    gen_time: int  # logical round number
-    prev_hash: bytes
-    ctr: int
-    target_v: float
+class BlockHeader(Record):
+    __slots__ = ("block_id", "leader_id", "gen_time", "prev_hash", "ctr", "target_v",
+                 "_memo_encode")
+
+    def __init__(
+        self, block_id: bytes, leader_id: str, gen_time: int,  # logical round number
+        prev_hash: bytes, ctr: int, target_v: float,
+    ) -> None:
+        self._set(block_id, leader_id, gen_time, prev_hash, ctr, target_v)
 
     @_memoized
     def encode(self) -> bytes:
@@ -252,11 +249,16 @@ class BlockHeader:
         )
 
 
-@dataclass(frozen=True)
-class Block:
-    header: BlockHeader
-    transactions: tuple[Transaction, ...]  # ordered by ids_id ascending
-    leader_signature: bytes
+class Block(Record):
+    __slots__ = ("header", "transactions", "leader_signature",
+                 "_memo_payload_bytes", "_memo_hash_block")
+
+    def __init__(
+        self, header: BlockHeader,
+        transactions: tuple[Transaction, ...],  # ordered by ids_id ascending
+        leader_signature: bytes,
+    ) -> None:
+        self._set(header, transactions, leader_signature)
 
     @_memoized
     def payload_bytes(self) -> bytes:
@@ -300,13 +302,12 @@ def make_block(
 ) -> Block:
     """Assemble and sign a block (payload sorted by signer id)."""
     txs = tuple(sorted(transactions, key=lambda t: t.ids_id))
-    unsigned = Block(
-        BlockHeader(ZERO_HASH, key.node_id, gen_time, prev_hash, ctr, target_v), txs, b""
-    )
+    fields = (key.node_id, gen_time, prev_hash, ctr, target_v)
+    unsigned = Block(BlockHeader(ZERO_HASH, *fields), txs, b"")
     # the root is computed once: it fixes the id and is signed
     payload = unsigned.payload_bytes()
     bid = _block_digest(unsigned.header, payload)
-    header = replace(unsigned.header, block_id=bid)
+    header = BlockHeader(bid, *fields)
     return _with_memo(
         Block(header, txs, key.sign(header.encode() + payload)),
         payload_bytes=payload, hash_block=bid,
@@ -315,8 +316,7 @@ def make_block(
 
 def genesis_block() -> Block:
     unsigned = Block(BlockHeader(ZERO_HASH, "", 0, ZERO_HASH, 0, 0.0), (), b"")
-    header = replace(unsigned.header, block_id=hash_block(unsigned))
-    return replace(unsigned, header=header)
+    return Block(unsigned.header._replace(block_id=hash_block(unsigned)), (), b"")
 
 
 class Chain:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -78,7 +77,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, rng_seed=args.seed)
+            config = config._replace(rng_seed=args.seed)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

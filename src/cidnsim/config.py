@@ -1,4 +1,4 @@
-"""Scenario configuration: JSON schema, fail-closed validation, dataclasses.
+"""Scenario configuration: JSON schema, fail-closed validation, immutable records.
 
 Unknown fields are rejected everywhere.  ``schema_version`` is mandatory.
 """
@@ -6,11 +6,11 @@ Unknown fields are rejected everywhere.  ``schema_version`` is mandatory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .consensus import ConsensusParams
 from .node import Behavior
+from .records import Record
 from .trust import TrustParams
 
 __all__ = ["ConfigError", "NetParams", "HostSpec", "NodeSpec", "SimConfig", "load_config", "config_from_dict"]
@@ -25,18 +25,18 @@ class ConfigError(ValueError):
     """Malformed scenario config; message lists the offending fields."""
 
 
-@dataclass(frozen=True)
-class NetParams:
+class NetParams(Record):
     """The message fabric.  A message sent in round r arrives in round
     r + max(delay_rounds, 1): nodes act after the round's deliveries, so
     ``delay_rounds`` 0 and 1 give the same delay."""
 
-    drop_prob: float = 0.0
-    delay_rounds: int = 0
-    challenge_prob: float = 0.5
-    challenge_priorities: str = "uniform"  # uniform | binary
+    __slots__ = ("drop_prob", "delay_rounds", "challenge_prob", "challenge_priorities")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, drop_prob: float = 0.0, delay_rounds: int = 0, challenge_prob: float = 0.5,
+        challenge_priorities: str = "uniform",  # uniform | binary
+    ) -> None:
+        self._set(drop_prob, delay_rounds, challenge_prob, challenge_priorities)
         if not 0.0 <= self.drop_prob < 1.0:
             raise ConfigError(f"network.drop_prob must be in [0,1): {self.drop_prob}")
         if self.delay_rounds < 0:
@@ -50,41 +50,37 @@ class NetParams:
             )
 
 
-@dataclass(frozen=True)
-class HostSpec:
-    p_mal: float = 0.0
+class HostSpec(Record):
+    __slots__ = ("p_mal",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, p_mal: float = 0.0) -> None:
+        self._set(p_mal)
         if not 0.0 <= self.p_mal <= 1.0:
             raise ConfigError(f"hosts[].p_mal must be in [0,1]: {self.p_mal}")
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    behavior: Behavior = field(default_factory=Behavior)
-    know_prob: float = 1.0
-    fp: float = 0.0
-    fn: float = 0.0
-    monitors: tuple[int, ...] = ()  # host indices; empty means "all hosts"
+class NodeSpec(Record):
+    __slots__ = ("behavior", "know_prob", "fp", "fn", "monitors")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, behavior: Behavior = Behavior(), know_prob: float = 1.0, fp: float = 0.0,
+        fn: float = 0.0, monitors: tuple[int, ...] = (),  # host indices; () is all hosts
+    ) -> None:
+        self._set(behavior, know_prob, fp, fn, monitors)
         for name in ("know_prob", "fp", "fn"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"nodes[].{name} must be in [0,1]: {v}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    rounds: int
-    rng_seed: int
-    trust: TrustParams
-    consensus: ConsensusParams
-    network: NetParams
-    hosts: tuple[HostSpec, ...]
-    nodes: tuple[NodeSpec, ...]
+class SimConfig(Record):
+    __slots__ = ("rounds", "rng_seed", "trust", "consensus", "network", "hosts", "nodes")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, rounds: int, rng_seed: int, trust: TrustParams, consensus: ConsensusParams,
+        network: NetParams, hosts: tuple[HostSpec, ...], nodes: tuple[NodeSpec, ...],
+    ) -> None:
+        self._set(rounds, rng_seed, trust, consensus, network, hosts, nodes)
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         if not self.hosts:

@@ -12,7 +12,6 @@ credibility), which validation returns with its verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .chain import (
@@ -26,6 +25,7 @@ from .chain import (
 )
 from .encoding import enc_int, enc_str, new_sha256, sha256
 from .keys import KeyPair, KeyRegistry, verify
+from .records import Record
 from .trust import average_credibility
 
 __all__ = [
@@ -54,8 +54,7 @@ __all__ = [
 MAX_Q_MAX = 1 << 20
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
+class ConsensusParams(Record):
     """Targets and bounds of the election.
 
     d_cred: loose eligibility target scaling the average credibility.
@@ -65,13 +64,12 @@ class ConsensusParams:
     t_cap: cap on the elapsed-time factor.
     """
 
-    d_cred: float
-    d_stake: float
-    r_bits: int
-    q_max: int
-    t_cap: int
+    __slots__ = ("d_cred", "d_stake", "r_bits", "q_max", "t_cap")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, d_cred: float, d_stake: float, r_bits: int, q_max: int, t_cap: int
+    ) -> None:
+        self._set(d_cred, d_stake, r_bits, q_max, t_cap)
         if not 0.0 < self.d_cred <= 1.0:
             raise ValueError(f"d_cred must be in (0,1], got {self.d_cred}")
         if not 0.0 < self.d_stake < math.inf:
@@ -212,18 +210,21 @@ def mine(
 # The draw, the proposal and its validation against committed chain state.
 
 
-@dataclass
 class ValidationContext:
     """Shared inputs every validator agrees on, and the verdict on every
     distinct transaction checked under them."""
 
-    params: ConsensusParams
-    registry: KeyRegistry
-    initial_trust: float  # newcomer credibility, fills unreported observers
-    members_at: Callable[[int], Sequence[str]]  # active identities at a round
-    _tx_verdicts: dict[bytes, bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("params", "registry", "initial_trust", "members_at", "_tx_verdicts")
+
+    def __init__(
+        self, params: ConsensusParams, registry: KeyRegistry, initial_trust: float,
+        members_at: Callable[[int], Sequence[str]],
+    ) -> None:
+        self.params = params
+        self.registry = registry
+        self.initial_trust = initial_trust  # newcomer credibility of unreported observers
+        self.members_at = members_at  # active identities at a round
+        self._tx_verdicts: dict[bytes, bool] = {}
 
     def transaction_ok(self, tx: Transaction) -> bool:
         """``verify_transaction`` of ``tx`` under the registry, computed once
@@ -342,9 +343,11 @@ def validate_block(
     if ids != sorted(set(ids)):
         return False, Reason.TX_ORDER, 0.0
     # a registered key that has not yet joined signs nothing the block may
-    # carry, and nothing its signer has already outdated on the parent
+    # carry, nor a transaction built (seq is its round) after the block's
+    # round, nor one its signer has already outdated on the parent
     for tx in b.transactions:
-        if not (tx.ids_id in members and parent.is_new(tx) and ctx.transaction_ok(tx)):
+        if not (tx.ids_id in members and tx.seq < h.gen_time and parent.is_new(tx)
+                and ctx.transaction_ok(tx)):
             return False, Reason.TX_INVALID, 0.0
     draw = _draw(
         parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),

@@ -16,8 +16,8 @@ without the full per-node trust loop:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .chain import Chain, build_transaction
 from .consensus import (
@@ -71,8 +71,7 @@ def spearman_rho(xs: list[float], ys: list[float]) -> float:
     return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
 
 
-@dataclass
-class ElectionStats:
+class ElectionStats(NamedTuple):
     """Per-node aggregates over an election trial."""
 
     blocks: list[int]
@@ -140,8 +139,7 @@ def leader_election_trial(
     return ElectionStats(blocks, stakes, avg_creds, mean_times)
 
 
-@dataclass
-class ForkContest:
+class ForkContest(NamedTuple):
     """Outcome of one seeded fork-resolution contest."""
 
     honest_score: float
@@ -195,7 +193,8 @@ def fork_contest(
         members_at=lambda rnd: list(ids),
     )
 
-    # bootstrap transactions: every member's credibility and trust lists
+    # bootstrap transactions, built before the first round: every member's
+    # credibility and trust lists
     txs = []
     for i, k in enumerate(keys):
         peers = {}
@@ -212,7 +211,7 @@ def fork_contest(
             trusts = {h: 0.9 + 0.08 * rng.random() for h in hosts}
         else:
             trusts = {h: 0.48 + 0.04 * rng.random() for h in hosts}
-        txs.append(build_transaction(k, 1, peers, trusts))
+        txs.append(build_transaction(k, 0, peers, trusts))
 
     store = BlockStore()
     for k in keys:

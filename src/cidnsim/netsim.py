@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .encoding import sha256
@@ -50,7 +49,6 @@ class Message(NamedTuple):
     deliver_at: int
 
 
-@dataclass
 class Network:
     """Point-to-point fabric with per-copy loss and fixed delay.
 
@@ -59,13 +57,14 @@ class Network:
     message arrives in round r + max(``delay_rounds``, 1).
     """
 
-    seed: int
-    drop_prob: float = 0.0
-    delay_rounds: int = 0
-    # each scheduled message with the receivers whose copy was not dropped
-    _pending: list[tuple[Message, tuple[str, ...]]] = field(default_factory=list)
+    __slots__ = ("seed", "drop_prob", "delay_rounds", "_pending", "_drop_streams")
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int, drop_prob: float = 0.0, delay_rounds: int = 0) -> None:
+        self.seed = seed
+        self.drop_prob = drop_prob
+        self.delay_rounds = delay_rounds
+        # each scheduled message with the receivers whose copy was not dropped
+        self._pending: list[tuple[Message, tuple[str, ...]]] = []
         self._drop_streams: dict[tuple, random.Random] = {}
 
     def _drop_rng(self, sender: str, receiver: str) -> random.Random:

@@ -15,9 +15,8 @@ replica follows the leaf of best ``Chain.rank``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from . import trust
 from .chain import (
@@ -66,8 +65,7 @@ __all__ = [
 _EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class Behavior:
+class Behavior(NamedTuple):
     """Which role a node plays and when.
 
     kind: honest | sybil | betrayal | collusion.  Sybil nodes are the fake
@@ -121,7 +119,6 @@ class BlockStore:
         return entry
 
 
-@dataclass
 class RuntimeContext:
     """Shared simulation plumbing every node agrees on; everything but the
     append-only block store and transaction verdicts is read-only.
@@ -132,15 +129,24 @@ class RuntimeContext:
     bounds when a challenge can still be answered).
     """
 
-    seed: int
-    trust_params: TrustParams
-    validation_context: ValidationContext
-    index_of: dict[str, int]
-    host_ids: list[str]
-    host_pmal: dict[str, float]
-    network: NetParams
-    collusion_groups: dict[str, int] = field(default_factory=dict)  # node_id -> group id
-    block_store: BlockStore = field(default_factory=BlockStore)
+    __slots__ = ("seed", "trust_params", "validation_context", "index_of", "host_ids",
+                 "host_pmal", "network", "collusion_groups", "block_store")
+
+    def __init__(
+        self, seed: int, trust_params: TrustParams, validation_context: ValidationContext,
+        index_of: dict[str, int], host_ids: list[str], host_pmal: dict[str, float],
+        network: NetParams, collusion_groups: dict[str, int] | None = None,
+    ) -> None:
+        self.seed = seed
+        self.trust_params = trust_params
+        self.validation_context = validation_context
+        self.index_of = index_of
+        self.host_ids = host_ids
+        self.host_pmal = host_pmal
+        self.network = network
+        # node_id -> group id
+        self.collusion_groups = {} if collusion_groups is None else collusion_groups
+        self.block_store = BlockStore()
 
 
 class Node:
@@ -392,6 +398,9 @@ class Node:
             return UNSURE
         if b.kind in ("betrayal", "collusion") and b.is_adversarial_at(rnd):
             return 1.0 - priority
+        # random() lies in [0, 1), so only a know_prob inside (0, 1) needs a draw
+        if self.know_prob in (0.0, 1.0):
+            return priority if self.know_prob else UNSURE
         rng = self._pair_rng(self._response_rngs, "response", self.ctx.index_of[challenger])
         return priority if rng.random() < self.know_prob else UNSURE
 

@@ -9,8 +9,7 @@ participants).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chain import Chain
 from .config import SimConfig
@@ -62,16 +61,15 @@ def membership(config: SimConfig) -> tuple[list[KeyPair], ValidationContext]:
     )
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Per-round metrics plus end-of-run aggregates."""
 
-    rounds: list[dict] = field(default_factory=list)
-    leader_counts: dict[str, int] = field(default_factory=dict)
-    node_summaries: dict[str, dict] = field(default_factory=dict)
-    chain: Chain | None = None
-    registry: KeyRegistry | None = None
-    wall_time: float = 0.0
+    rounds: list[dict]
+    leader_counts: dict[str, int]
+    node_summaries: dict[str, dict]
+    chain: Chain
+    registry: KeyRegistry
+    wall_time: float
 
 
 class Simulation:
@@ -127,7 +125,7 @@ class Simulation:
         round_hook: Callable[["Simulation", int], None] | None = None,
     ) -> ScenarioResult:
         cfg = self.config
-        result = ScenarioResult()
+        rows = []
         started = time.monotonic()
         truth_malicious = {
             self.host_ids[i]
@@ -150,21 +148,16 @@ class Simulation:
                     self.network.send(kind, node_id, receivers, payload, rnd)
 
             self._accumulate_election_scores(rnd, members, score_sums)
-            row = self._metrics_row(rnd, blocks_proposed, truth_malicious)
-            result.rounds.append(row)
+            rows.append(self._metrics_row(rnd, blocks_proposed, truth_malicious))
             if verbose and event_sink is not None:
                 event_sink(self._snapshot(rnd, members))
             if round_hook is not None:
                 round_hook(self, rnd)
 
-        result.chain = self.reference.replica
-        result.registry = self.ctx.validation_context.registry
-        result.leader_counts = {
-            n.node_id: n.blocks_mined for n in self.nodes if n.blocks_mined
-        }
+        summaries = {}
         for n in self.nodes:
             rounds_active = max(1, cfg.rounds - n.behavior.spawn_round)
-            result.node_summaries[n.node_id] = {
+            summaries[n.node_id] = {
                 "index": n.index,
                 "behavior": n.behavior.kind,
                 "blocks_mined": n.blocks_mined,
@@ -173,8 +166,16 @@ class Simulation:
                 "invalid_reasons": dict(sorted(n.invalid_reasons.items())),
                 "mean_election_score": score_sums[n.node_id] / rounds_active,
             }
-        result.wall_time = time.monotonic() - started
-        return result
+        return ScenarioResult(
+            rounds=rows,
+            leader_counts={
+                n.node_id: n.blocks_mined for n in self.nodes if n.blocks_mined
+            },
+            node_summaries=summaries,
+            chain=self.reference.replica,
+            registry=self.ctx.validation_context.registry,
+            wall_time=time.monotonic() - started,
+        )
 
     def _accumulate_election_scores(
         self, rnd: int, members: list[str], sums: dict[str, float]

@@ -9,13 +9,14 @@ Two kinds of scores are maintained:
   built from per-interval packet counts and diffused across the network
   as a credibility-weighted average.
 
-All functions are pure; state types are immutable dataclasses.
+All functions are pure; state types are immutable records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+from .records import Record, set_field
 
 __all__ = [
     "UNSURE",
@@ -51,8 +52,7 @@ UNSURE = _Unsure()
 MAX_INTERVAL_LEN = 10**6
 
 
-@dataclass(frozen=True)
-class TrustParams:
+class TrustParams(Record):
     """Model constants.
 
     forgetting: EWMA weight on past behavior (higher = slower reaction).
@@ -63,14 +63,15 @@ class TrustParams:
     interval_len: packets per monitoring interval.
     """
 
-    forgetting: float
-    severity: float
-    cred_threshold: float
-    initial_trust: float
-    blacklist_threshold: float
-    interval_len: int
+    __slots__ = ("forgetting", "severity", "cred_threshold", "initial_trust",
+                 "blacklist_threshold", "interval_len")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, forgetting: float, severity: float, cred_threshold: float,
+        initial_trust: float, blacklist_threshold: float, interval_len: int,
+    ) -> None:
+        self._set(forgetting, severity, cred_threshold, initial_trust,
+                  blacklist_threshold, interval_len)
         if not 0.0 < self.forgetting < 1.0:
             raise ValueError(f"forgetting must be in (0,1), got {self.forgetting}")
         if not self.severity > 0.0:
@@ -97,8 +98,7 @@ class TrustParams:
             )
 
 
-@dataclass(frozen=True)
-class PeerTrustState:
+class PeerTrustState(NamedTuple):
     """Running per-(observer, peer) values: satisfaction, Unsure rate, credibility."""
 
     gamma: float  # accumulated satisfaction
@@ -112,15 +112,15 @@ class PeerTrustState:
         return PeerTrustState(gamma=p.initial_trust, alpha=0.0, crd=p.initial_trust)
 
 
-@dataclass(frozen=True)
-class HostTrustState:
+class HostTrustState(Record):
     """Per-(observer, host) accumulated trust."""
 
-    tr_ids: float
+    __slots__ = ("tr_ids",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tr_ids < 1.0:
-            raise ValueError(f"tr_ids must be strictly inside (0,1): {self.tr_ids}")
+    def __init__(self, tr_ids: float) -> None:
+        if not 0.0 < tr_ids < 1.0:
+            raise ValueError(f"tr_ids must be strictly inside (0,1): {tr_ids}")
+        set_field(self, "tr_ids", tr_ids)
 
     @staticmethod
     def fresh(p: TrustParams) -> "HostTrustState":

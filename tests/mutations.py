@@ -2,8 +2,6 @@
 validation-failure reason codes.  Shared by the consensus unit tests and
 the large duality fuzz in the acceptance gate."""
 
-import dataclasses
-
 from cidnsim.chain import Block, build_transaction, hash_block
 from cidnsim.consensus import Reason
 
@@ -27,11 +25,9 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
     h = block.header
 
     def reheader(transactions=block.transactions, **changes):
-        unsigned = dataclasses.replace(
-            block, header=dataclasses.replace(h, **changes), transactions=transactions
-        )
-        header = dataclasses.replace(unsigned.header, block_id=hash_block(unsigned))
-        return dataclasses.replace(unsigned, header=header)
+        unsigned = block._replace(header=h._replace(**changes), transactions=transactions)
+        header = unsigned.header._replace(block_id=hash_block(unsigned))
+        return unsigned._replace(header=header)
 
     def with_other_tx(reverse=False):
         tx = build_transaction(other_key, 1, {}, {"h0": 0.9})
@@ -40,26 +36,22 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
         )
 
     if how == "prev_hash":
-        return dataclasses.replace(
-            block, header=dataclasses.replace(h, prev_hash=b"\xaa" * 32)
-        )
+        return block._replace(header=h._replace(prev_hash=b"\xaa" * 32))
     if how == "gen_time":
-        return dataclasses.replace(block, header=dataclasses.replace(h, gen_time=0))
+        return block._replace(header=h._replace(gen_time=0))
     if how == "block_id":
         flipped = bytes([h.block_id[0] ^ 1]) + h.block_id[1:]
-        return dataclasses.replace(
-            block, header=dataclasses.replace(h, block_id=flipped)
-        )
+        return block._replace(header=h._replace(block_id=flipped))
     if how == "payload":
         # the genuine header and signature over another transaction tuple
-        return dataclasses.replace(block, transactions=with_other_tx())
+        return block._replace(transactions=with_other_tx())
     if how == "leader_id":
         return reheader(leader_id="f" * 64)
     if how == "tx_order":
         return reheader(with_other_tx(reverse=True))
     if how == "tx_invalid":
         good = block.transactions[0]
-        bad = dataclasses.replace(good, trust_list=(2.0,) * max(1, len(good.trust_list)))
+        bad = good._replace(trust_list=(2.0,) * max(1, len(good.trust_list)))
         return reheader((bad,) + block.transactions[1:])
     if how == "target_v":
         return reheader(target_v=0.123)
@@ -68,5 +60,5 @@ def mutate_block(block: Block, how: str, q_max: int, other_key=None) -> Block:
     if how == "signature":
         sig = bytearray(block.leader_signature)
         sig[0] ^= 1
-        return dataclasses.replace(block, leader_signature=bytes(sig))
+        return block._replace(leader_signature=bytes(sig))
     raise AssertionError(f"unknown mutation class {how}")

@@ -180,8 +180,9 @@ def test_criterion_04_consensus_duality_fuzz(capsys):
     trusts = {f"h{i}": 0.99 for i in range(6)}
     tx = None
     for salt in range(200):
+        # built before the first round, so every block may carry it
         cand = build_transaction(
-            leader, 1, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
+            leader, 0, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
         )
         payload = transaction_root([cand])
         eligible, g = check_eligibility(

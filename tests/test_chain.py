@@ -1,6 +1,5 @@
 """Transactions, blocks, chain state, and the JSONL export."""
 
-import dataclasses
 import hashlib
 import struct
 import tracemalloc
@@ -129,7 +128,7 @@ def _change_evidence(data, e: EvidenceRecord) -> EvidenceRecord:
     """One field of the record changed; its own check may refuse the result
     with a ValueError."""
     name, change = data.draw(st.sampled_from(sorted(_EVIDENCE_CHANGES.items())))
-    return dataclasses.replace(e, **{name: change(data, getattr(e, name))})
+    return e._replace(**{name: change(data, getattr(e, name))})
 
 
 _EVIDENCE_CHANGES = {
@@ -169,7 +168,7 @@ def test_any_single_field_change_invalidates_transaction(data):
     assert verify_transaction(tx, reg)
     name, change = data.draw(st.sampled_from(sorted(_TRANSACTION_CHANGES.items())))
     try:
-        mutated = dataclasses.replace(tx, **{name: change(data, getattr(tx, name))})
+        mutated = tx._replace(**{name: change(data, getattr(tx, name))})
     except ValueError:
         return  # an evidence record's own check refused the change
     assert mutated.encode() != tx.encode()
@@ -186,7 +185,8 @@ def test_a_built_transaction_keeps_the_bytes_it_signed(registry_and_keys):
     assert signed == tx.tx_id + tx.body_bytes()
     assert tx.tx_id == hashlib.sha256(tx.body_bytes()).digest()
     assert tx.encode().startswith(signed)
-    held = [v for v in vars(tx).values() if isinstance(v, bytes)]
+    slots = [getattr(tx, n, None) for n in tx.__slots__]
+    held = [v for v in slots if isinstance(v, bytes)]
     assert signed not in held
     remembered = [d for (_, sig), d in keys._signed.items() if sig == tx.signature]
     assert remembered == [hashlib.sha256(signed).digest()]
@@ -200,16 +200,19 @@ def test_a_transaction_builds_empty_evidence_only_for_hosts_without_evidence(
     built = []
 
     class CountingRecord(EvidenceRecord):
-        def __post_init__(self):
-            built.append(self.host)
-            super().__post_init__()
+        def __init__(self, host, *rest):
+            built.append(host)
+            super().__init__(host, *rest)
 
     monkeypatch.setattr(chain_module, "EvidenceRecord", CountingRecord)
     trusts = {"10.0.0.1": 0.3, "10.0.0.2": 0.6, "10.0.0.3": 0.5}
     tx = build_transaction(keys_[0], 1, {}, trusts, evidence)
     assert built == ["10.0.0.3"]
     assert tx.evidence_list[:2] == (evidence["10.0.0.1"], evidence["10.0.0.2"])
-    assert dataclasses.astuple(tx.evidence_list[2]) == ("10.0.0.3", (), 0, 0)
+    empty = tx.evidence_list[2]
+    assert (empty.host, empty.alert_digests, empty.normal_count, empty.packet_count) == (
+        "10.0.0.3", (), 0, 0
+    )
 
 
 # -- blocks -----------------------------------------------------------------
@@ -242,8 +245,8 @@ def test_make_block_encodes_its_payload_once(monkeypatch, registry_and_keys):
     assert b.header.block_id == expected
     # the block keeps its fields, its memoized root and its memoized id only,
     # not the transactions' bytes
-    fields = {f.name for f in dataclasses.fields(b)}
-    assert [v for k, v in vars(b).items() if k not in fields] == [root, b.header.block_id]
+    memos = [n for n in b.__slots__ if n not in b._fields and hasattr(b, n)]
+    assert [getattr(b, n) for n in memos] == [root, b.header.block_id]
     assert hash_block(b) is b.header.block_id
 
 
@@ -270,12 +273,12 @@ def test_block_id_depends_on_every_field(registry_and_keys):
         {"ctr": 10},
         {"target_v": 0.75},
     ]:
-        changed = dataclasses.replace(block, header=dataclasses.replace(header, **change))
+        changed = block._replace(header=header._replace(**change))
         assert hash_block(changed) != reference
-    assert hash_block(dataclasses.replace(block, transactions=())) != reference
+    assert hash_block(block._replace(transactions=())) != reference
     # the id covers neither itself nor the signature, so the signed block that
     # carries it has the same id
-    signed = Block(dataclasses.replace(header, block_id=reference), (tx,), b"signature")
+    signed = Block(header._replace(block_id=reference), (tx,), b"signature")
     assert hash_block(signed) == reference
 
 

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: run / verify / report, exit codes, determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -22,12 +21,12 @@ from cidnsim.chain import (
     import_chain,
 )
 from cidnsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
-from cidnsim.config import load_config
-from cidnsim.consensus import Reason, propose, validate_block
+from cidnsim.config import config_from_dict, load_config
+from cidnsim.consensus import Reason, ValidationContext, propose, validate_block
 from cidnsim.experiments import spearman_rho
 from cidnsim.keys import KeyPair
 from cidnsim.netsim import Network
-from cidnsim.simulation import membership
+from cidnsim.simulation import Simulation, membership
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -233,12 +232,13 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     outsider = KeyPair.from_seed(hashlib.sha256(b"outsider").digest())
     registry.register(outsider.public_bytes)
     _, configured = membership(load_config(str(config)))
-    widened = dataclasses.replace(
-        configured, registry=registry, members_at=lambda rnd: sorted(registry.as_dict())
+    widened = ValidationContext(
+        configured.params, registry, configured.initial_trust,
+        lambda rnd: sorted(registry.as_dict()),
     )
     gen_time = chain.tip.header.gen_time + 1
     for salt in range(200):
-        tx = build_transaction(outsider, gen_time, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        tx = build_transaction(outsider, gen_time - 1, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
         forged, _ = propose(chain, outsider, gen_time, [tx], widened)
         if forged is not None:
             break
@@ -264,10 +264,33 @@ def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
     leader, late = keys_[0], keys_[-1]
     assert late.node_id not in ctx.members_at(1)
     chain = Chain.genesis()
-    early = build_transaction(late, 1, {}, {"10.0.0.1": 0.1})
+    early = build_transaction(late, 0, {}, {"10.0.0.1": 0.1})
     for salt in range(200):
-        own = build_transaction(leader, 1, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        own = build_transaction(leader, 0, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
         forged, _ = propose(chain, leader, 1, [own, early], ctx)
+        if forged is not None:
+            break
+    else:
+        raise AssertionError("setup: the leader never won the lottery")
+
+    chain_path = tmp_path / "chain.jsonl"
+    export_chain(chain.extended(forged, 0.0), ctx.registry, str(chain_path))
+    capsys.readouterr()
+    assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
+    assert '"reason": "tx-invalid"' in capsys.readouterr().out
+
+
+def test_verify_rejects_a_transaction_built_after_its_block(tiny_config, tmp_path, capsys):
+    """A member leads a block on genesis, valid in every other respect, that
+    carries its own transaction claiming seq 2^61: a transaction's seq is the
+    round it was built in, so it must precede the block's round."""
+    path, _ = tiny_config
+    keys_, ctx = membership(load_config(str(path)))
+    leader = keys_[0]
+    chain = Chain.genesis()
+    for salt in range(200):
+        own = build_transaction(leader, 2**61, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        forged, _ = propose(chain, leader, 1, [own], ctx)
         if forged is not None:
             break
     else:
@@ -541,6 +564,24 @@ def test_late_spawn_exports_match_golden_digests(tmp_path):
     config.write_text(json.dumps(late_spawn_config()))
     digests = export_digests(config, tmp_path / "out")
     assert digests == GOLDEN_DIGESTS["late_spawn"]
+
+
+def test_late_spawn_reference_replica_switches_branches_by_score():
+    """Among the pinned exports only the late-spawn run moves its reference
+    replica from one branch to another (43 times), so its digest is the one
+    that covers fork choice by score; this keeps that coverage from silently
+    disappearing."""
+    tips = []
+    Simulation(config_from_dict(late_spawn_config())).run(
+        round_hook=lambda sim, rnd: tips.append(sim.reference.replica)
+    )
+
+    def extends(new, old):
+        while new.height > old.height:
+            new = new.parent
+        return new is old
+
+    assert sum(not extends(new, old) for old, new in zip(tips, tips[1:])) >= 1
 
 
 @pytest.mark.parametrize(

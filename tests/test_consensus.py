@@ -1,6 +1,5 @@
 """Eligibility lottery, mining, block validation, and fork choice."""
 
-import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -58,7 +57,7 @@ def key_of(label: str) -> KeyPair:
 )
 def test_params_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
-        dataclasses.replace(PARAMS, **{field: value})
+        PARAMS._replace(**{field: value})
 
 
 def test_hash_to_unit_known_vectors():
@@ -249,10 +248,11 @@ def _simple_context(keys):
 
 def _salted_block(key, ctx, chain, trusts, gen_time=1):
     # the eligibility lottery is a deterministic hash draw, so nudge the
-    # payload until this leader qualifies
+    # payload until this leader qualifies; the transaction was built in the
+    # round before the block
     for salt in range(200):
         tx = build_transaction(
-            key, gen_time, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
+            key, gen_time - 1, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
         )
         block, _ = propose(chain, key, gen_time, [tx], ctx)
         if block is not None:
@@ -278,9 +278,9 @@ def _one_block_parent(leader, other, ctx, trusts):
     list of ``leader``, so a proposal without its own transaction draws its
     stake from the chain."""
     chain = Chain.genesis()
-    prior = build_transaction(leader, 1, {other.node_id: 0.9}, trusts)
+    prior = build_transaction(leader, 0, {other.node_id: 0.9}, trusts)
     for salt in range(200):
-        tx = build_transaction(other, 1, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
+        tx = build_transaction(other, 0, {leader.node_id: 0.8 - salt * 1e-9}, {"h0": 0.99})
         block, _ = propose(chain, other, 1, [tx, prior], ctx)
         if block is not None:
             return chain.extended(block, 0.0)
@@ -312,9 +312,9 @@ def test_every_proposed_block_validates_on_its_parent(
     )
     txs = []
     if own_tx:
-        txs.append(build_transaction(leader, gen_time, {other.node_id: 0.7}, host_trusts))
+        txs.append(build_transaction(leader, gen_time - 1, {other.node_id: 0.7}, host_trusts))
     if peer_tx:
-        txs.append(build_transaction(other, gen_time, {leader.node_id: 0.6}, {"h0": 0.2}))
+        txs.append(build_transaction(other, gen_time - 1, {leader.node_id: 0.6}, {"h0": 0.2}))
     if reverse:
         txs.reverse()
     block, attempts = propose(chain, leader, gen_time, txs, ctx)
@@ -378,9 +378,9 @@ def test_a_transaction_signed_outside_the_membership_is_invalid():
     key, newcomer = key_of("consensus-leader"), key_of("consensus-newcomer")
     ctx = _simple_context([key, newcomer])
     chain = Chain.genesis()
-    early = build_transaction(newcomer, 1, {}, {"h0": 0.2})
+    early = build_transaction(newcomer, 0, {}, {"h0": 0.2})
     for salt in range(200):
-        own = build_transaction(key, 1, {}, {"h0": 0.99 - salt * 1e-9})
+        own = build_transaction(key, 0, {}, {"h0": 0.99 - salt * 1e-9})
         block, _ = propose(chain, key, 1, [own, early], ctx)
         if block is not None:
             break
@@ -425,7 +425,7 @@ def test_a_transaction_at_or_below_its_signers_last_is_invalid(seq):
     key = key_of("consensus-leader")
     ctx = _simple_context([key])
     genesis = Chain.genesis()
-    newer = _honest_block(key, ctx, genesis, gen_time=2)
+    newer = _honest_block(key, ctx, genesis, gen_time=3)
     ok, _, weight = validate_block(newer, genesis, ctx)
     chain = genesis.extended(newer, weight)
     assert ok and newer.transactions[0].seq == 2
@@ -437,8 +437,25 @@ def test_a_transaction_at_or_below_its_signers_last_is_invalid(seq):
         ([later], (True, Reason.OK)),
         ([later, build_transaction(key, 4, {}, {"h0": 0.9})], (False, Reason.TX_ORDER)),
     ):
-        block, _ = propose(chain, key, 3, txs, ctx)  # a lone member always wins
+        block, _ = propose(chain, key, 4, txs, ctx)  # a lone member always wins
         assert validate_block(block, chain, ctx)[:2] == expected
+
+
+@pytest.mark.parametrize("seq,expected", [
+    (4, (True, Reason.OK)),
+    (5, (False, Reason.TX_INVALID)),
+    (6, (False, Reason.TX_INVALID)),
+    (2**61, (False, Reason.TX_INVALID)),
+])
+def test_a_block_carries_only_transactions_built_before_its_round(seq, expected):
+    """A transaction's seq is the round it was built in, so a block of round
+    5 may carry one of seq 4 but none of seq 5 or later."""
+    key = key_of("consensus-leader")
+    ctx = _simple_context([key])
+    chain = Chain.genesis()
+    tx = build_transaction(key, seq, {}, {"h0": 0.9})
+    block, _ = propose(chain, key, 5, [tx], ctx)  # a lone member always wins
+    assert validate_block(block, chain, ctx)[:2] == expected
 
 
 @pytest.mark.parametrize("mutate,expected", MUTATION_CLASSES)

@@ -1,7 +1,6 @@
 """Node behavior loop: challenges, adversarial distortion, and the full
 round loop wired through the simulation driver."""
 
-import dataclasses
 import hashlib
 from collections import Counter
 from types import SimpleNamespace
@@ -14,9 +13,7 @@ from cidnsim import chain as chain_module
 from cidnsim import consensus as consensus_module
 from cidnsim import node as node_module
 from cidnsim.chain import (
-    Block,
     Chain,
-    Transaction,
     build_transaction,
     hash_block,
     make_block,
@@ -99,6 +96,15 @@ def test_honest_node_echoes_priority_when_knowledgeable():
 def test_ignorant_node_answers_unsure():
     node = make_node(Behavior(kind="honest"), know_prob=0.0)
     assert answer(node, rnd=5) is UNSURE
+
+
+@pytest.mark.parametrize("know_prob,streams", [(1.0, 0), (0.0, 0), (0.5, 1)])
+def test_a_node_draws_a_response_stream_only_where_the_draw_decides(know_prob, streams):
+    """``random()`` lies in [0, 1), so a node that always or never knows
+    answers without creating or drawing the stream of the challenger."""
+    node = make_node(Behavior(kind="honest"), know_prob=know_prob)
+    assert answer(node, 0.8, rnd=5) in (0.8, UNSURE)
+    assert len(node._response_rngs) == streams
 
 
 def test_sybil_always_unsure():
@@ -415,7 +421,8 @@ def test_the_store_commit_check_agrees_with_a_scan_of_the_replica(tree):
     chains, blocks = [], []
     for i, (parent, j) in enumerate(zip(parents, payloads)):
         base = store.genesis if parent < 0 else chains[parent]
-        block, _ = propose(base, first.key, i + 1, [pool[j]], vctx)
+        # each block's round is above every seq in the pool
+        block, _ = propose(base, first.key, i + 4, [pool[j]], vctx)
         assert block is not None  # a lone member is always eligible
         blocks.append(block)
         chains.append(base.extended(block, 0.0))
@@ -453,7 +460,7 @@ def test_transaction_verdict_is_computed_once_and_keyed_on_every_field(monkeypat
     assert ctx.transaction_ok(tx)
     assert len(calls) == 1
     # same id and signature over a different body: a fresh check, which fails
-    forged = dataclasses.replace(tx, trust_list=(0.1,))
+    forged = tx._replace(trust_list=(0.1,))
     assert (forged.tx_id, forged.signature) == (tx.tx_id, tx.signature)
     assert not ctx.transaction_ok(forged)
     assert ctx.transaction_ok(tx)
@@ -552,19 +559,22 @@ def test_a_run_holds_each_encoding_and_list_map_once():
     sim = Simulation(small_config())
     sim.run()
     chains = [c for _, c in sim.ctx.block_store._entries.values() if c is not None]
-    block_fields = {f.name for f in dataclasses.fields(Block)}
-    tx_fields = {f.name for f in dataclasses.fields(Transaction)}
+
+    def memos(record):
+        """The values a record holds in its slots beyond its fields."""
+        return [
+            getattr(record, n) for n in record.__slots__
+            if n not in record._fields and hasattr(record, n)
+        ]
+
     forks_of = Counter()
     for chain in chains:
         b = chain.tip
-        kept = [v for k, v in vars(b).items() if k not in block_fields]
+        kept = memos(b)
         # the memoized root and id only
         assert all(v in (b.payload_bytes(), hash_block(b)) and len(v) == 32 for v in kept)
         for tx in b.transactions:
-            held = [
-                v for k, v in vars(tx).items()
-                if k not in tx_fields and isinstance(v, bytes)
-            ]
+            held = [v for v in memos(tx) if isinstance(v, bytes)]
             assert len(held) == 2 and held[0] is tx.encode() and held[1] is tx.digest()
             assert tx.digest() == hashlib.sha256(tx.encode()).digest()
             assert chain.latest_tx[tx.ids_id] is tx

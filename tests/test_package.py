@@ -68,19 +68,26 @@ def test_run_and_verify_load_no_report_only_modules(tmp_path):
     """``run`` and ``verify`` import neither ``cidnsim.experiments``, which
     only ``report`` needs, nor scipy or numpy: each import is start-up time
     that every run would pay.  Nor do they load ``_hashlib``, which maps a
-    second OpenSSL next to the one ``cryptography`` ships."""
+    second OpenSSL next to the one ``cryptography`` ships, nor
+    ``dataclasses`` and the ``inspect`` it imports (with ``ast``, ``dis``
+    and ``tokenize``), about a megabyte of memory.  ``inspect`` is allowed
+    only on a ``cryptography`` build that loads it by itself."""
     scenario = json.loads((ROOT / "scenarios" / "baseline_honest.json").read_text())
     config = tmp_path / "short.json"
     config.write_text(json.dumps({**scenario, "rounds": 5}))
     out = tmp_path / "out"
     code = "\n".join([
         "import sys",
+        "import cryptography.exceptions",
+        "import cryptography.hazmat.primitives.asymmetric.ed25519",
+        "unwanted = ['cidnsim.experiments', 'scipy', 'numpy', '_hashlib', 'dataclasses']",
+        "if 'inspect' not in sys.modules:",
+        "    unwanted.append('inspect')",
         "from cidnsim.cli import main",
         f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0",
         f"assert main(['verify', '--chain', {str(out / 'chain.jsonl')!r},"
         f" '--config', {str(config)!r}]) == 0",
-        "print([m for m in ('cidnsim.experiments', 'scipy', 'numpy', '_hashlib')"
-        " if m in sys.modules])",
+        "print([m for m in unwanted if m in sys.modules])",
     ])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
