@@ -1,9 +1,10 @@
 """Deterministic round-based message fabric.
 
-Every random decision draws from a stream derived from (seed, purpose,
-participants), so adding a node never perturbs the streams of existing
-ones.  Messages scheduled and not dropped are delivered exactly once; each
-receiver gets its messages in the order they were sent.
+Every random decision is keyed by (seed, purpose, participants), and a
+drop, a challenge or an answer by its round too (``keyed_draws``), so
+adding a node or a message never perturbs another draw.  Messages
+scheduled and not dropped are delivered exactly once; each receiver gets
+its messages in the order they were sent.
 
 The fabric keeps no membership: every send names its receivers.  A
 scheduled message is held once, with the receivers whose copy survived,
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from typing import Any, NamedTuple
 
 from .encoding import sha256
@@ -27,6 +29,7 @@ __all__ = [
     "Network",
     "derived_rng",
     "host_traffic",
+    "keyed_draws",
 ]
 
 KIND_TRANSACTION = "transaction"
@@ -34,10 +37,23 @@ KIND_BLOCK = "block-proposal"
 KIND_CHALLENGE = "challenge"
 KIND_RESPONSE = "challenge-response"
 
+_WORDS = struct.Struct(">4Q")
+_ULP = 2.0**-53
+
+
 def derived_rng(seed: int, *tags: object) -> random.Random:
     """Independent stream keyed by the run seed plus arbitrary tags."""
     material = repr((seed,) + tags).encode()
     return random.Random(int.from_bytes(sha256(material)[:8], "big"))
+
+
+def keyed_draws(seed: int, *tags: object) -> tuple[float, float, float, float]:
+    """Four uniforms in [0, 1), a pure function of the key that
+    ``derived_rng`` hashes: the high 53 bits of each 64-bit word of its
+    SHA-256.  A counter-based generator (Salmon et al., SC 2011): no state,
+    and no other draw can shift it."""
+    a, b, c, d = _WORDS.unpack(sha256(repr((seed,) + tags).encode()))
+    return (a >> 11) * _ULP, (b >> 11) * _ULP, (c >> 11) * _ULP, (d >> 11) * _ULP
 
 
 class Message(NamedTuple):
@@ -57,7 +73,7 @@ class Network:
     message arrives in round r + max(``delay_rounds``, 1).
     """
 
-    __slots__ = ("seed", "drop_prob", "delay_rounds", "_pending", "_drop_streams")
+    __slots__ = ("seed", "drop_prob", "delay_rounds", "_pending")
 
     def __init__(self, seed: int, drop_prob: float = 0.0, delay_rounds: int = 0) -> None:
         self.seed = seed
@@ -65,26 +81,19 @@ class Network:
         self.delay_rounds = delay_rounds
         # each scheduled message with the receivers whose copy was not dropped
         self._pending: list[tuple[Message, tuple[str, ...]]] = []
-        self._drop_streams: dict[tuple, random.Random] = {}
-
-    def _drop_rng(self, sender: str, receiver: str) -> random.Random:
-        key = ("drop", sender, receiver)
-        rng = self._drop_streams.get(key)
-        if rng is None:
-            rng = derived_rng(self.seed, *key)
-            self._drop_streams[key] = rng
-        return rng
 
     def send(
         self, kind: str, sender: str, receivers: tuple[str, ...], payload: Any, rnd: int
     ) -> None:
-        """Schedule one message for ``receivers``, each copy dropped on its
-        own pair's stream, drawn in receiver order.  A lossless network draws
-        nothing, since no draw could drop a copy, and so makes no streams."""
+        """Schedule one message for ``receivers``, each copy dropped by the
+        draw keyed (sender, receiver, ``rnd``, ``kind``).  A sender sends at
+        most one message of each kind per round, so every copy has a key of
+        its own and no send shifts the fate of another.  A lossless network
+        draws nothing, since no draw could drop a copy."""
         if self.drop_prob > 0.0:
             receivers = tuple(
                 r for r in receivers
-                if self._drop_rng(sender, r).random() >= self.drop_prob
+                if keyed_draws(self.seed, "drop", sender, r, rnd, kind)[0] >= self.drop_prob
             )
         if receivers:
             self._pending.append(

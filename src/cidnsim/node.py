@@ -38,6 +38,7 @@ from .netsim import (
     Message,
     derived_rng,
     host_traffic,
+    keyed_draws,
 )
 from .trust import (
     UNSURE,
@@ -199,8 +200,6 @@ class Node:
         self._traffic_rngs = {
             ip: derived_rng(ctx.seed, "traffic", index, ip) for ip in self.monitors
         }
-        self._challenge_rngs: dict[int, Any] = {}
-        self._response_rngs: dict[int, Any] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -212,13 +211,6 @@ class Node:
     def blacklist(self) -> set[str]:
         p = self.ctx.trust_params
         return {ip for ip, st in self.host_trust.items() if is_blacklisted(st, p)}
-
-    def _pair_rng(self, cache: dict, purpose: str, other_index: int):
-        rng = cache.get(other_index)
-        if rng is None:
-            rng = derived_rng(self.ctx.seed, purpose, self.index, other_index)
-            cache[other_index] = rng
-        return rng
 
     def _sync_peers(self, rnd: int) -> tuple[str, ...]:
         """The members at ``rnd``, after giving each peer not met before a
@@ -398,20 +390,19 @@ class Node:
             return UNSURE
         if b.kind in ("betrayal", "collusion") and b.is_adversarial_at(rnd):
             return 1.0 - priority
-        # random() lies in [0, 1), so only a know_prob inside (0, 1) needs a draw
+        # a draw lies in [0, 1), so only a know_prob inside (0, 1) needs one
         if self.know_prob in (0.0, 1.0):
             return priority if self.know_prob else UNSURE
-        rng = self._pair_rng(self._response_rngs, "response", self.ctx.index_of[challenger])
-        return priority if rng.random() < self.know_prob else UNSURE
+        challenger_index = self.ctx.index_of[challenger]
+        u = keyed_draws(self.ctx.seed, "response", self.index, challenger_index, rnd)[0]
+        return priority if u < self.know_prob else UNSURE
 
     def _evaluate_response(self, peer: str, sent_round: int, answer: float | Any) -> None:
         expected = self.outstanding.pop((peer, sent_round), None)
         if expected is None:
             return
         p = self.ctx.trust_params
-        state = self.peer_trust.get(peer)
-        if state is None:
-            state = PeerTrustState.fresh(p)
+        state = self.peer_trust[peer]
         if answer is UNSURE:
             self.peer_trust[peer] = update_unsure(state, p)
         else:
@@ -438,18 +429,17 @@ class Node:
 
     def _issue_challenges(self, members: Sequence[str], rnd: int) -> dict[str, float]:
         """Challenge the peers this round's draws pick; returns each
-        challenged peer's priority."""
+        challenged peer's priority.  The decision and the priority come from
+        the one draw keyed (this node, peer, ``rnd``)."""
         net = self.ctx.network
+        seed, index_of = self.ctx.seed, self.ctx.index_of
         priorities = {}
         for peer in members:
             if peer == self.node_id:
                 continue
-            rng = self._pair_rng(
-                self._challenge_rngs, "challenge", self.ctx.index_of[peer]
-            )
-            if rng.random() >= net.challenge_prob:
+            decide, u, _, _ = keyed_draws(seed, "challenge", self.index, index_of[peer], rnd)
+            if decide >= net.challenge_prob:
                 continue
-            u = rng.random()
             priority = u if net.challenge_priorities == "uniform" else (
                 0.0 if u < 0.5 else 1.0
             )

@@ -2,8 +2,8 @@
 round loop, collecting per-round metrics.
 
 Everything is a pure function of (config, seed): keys are derived from the
-seed, and all randomness flows through streams keyed by (seed, purpose,
-participants).
+seed, and every random decision is keyed by (seed, purpose, participants,
+round), or draws from a monitored host's own traffic stream.
 """
 
 from __future__ import annotations

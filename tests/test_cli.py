@@ -475,33 +475,33 @@ def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "e84a05b83d1282b7e677efd59cdbe908547aa06c180174a2699ef31cc4e32c00",
-        "9f6fc656931808c76ab84534aa4ef1015762e5150115f875687e1e84602aaad0",
+        "7b5739e8cd8ef298f8d2ca781dd0598eb338206e90948d11075837b1c48592dc",
+        "0b6d27580227cd41e607d975ee28dfa36dc0e4f8238ea5f736263b9145ddff0b",
     ),
     "collusion": (
         "ab058a1632ad89119ce50e6f39eb96511fbdd33a8a0fb42cee89d448b99e3164",
         "3762369ab9304d47fbd6cbbb536ec60ed6669d3d82a2f4643905c1e3c3dc4ede",
     ),
     "sybil": (
-        "623b51858fd9abd63a392ac6231d3f20259b1581e38197e8d18d49bd219f2278",
-        "0a6f7d645e9bf15b3743fae301cd699aec4c0b110b40fa8cc529cbbac2220c24",
+        "ca12b4cef646f82135aae55c5252ca056f8f2e309c32c8a0cde6125aef9547e5",
+        "bbc9a94bc9cff9b21b46a1132f2226fd7da4cfaf6be2280c0a712b2753ac8b93",
     ),
     "betrayal": (
         "f78a22b742b399ef28146bd5e275d4ec469b7eeb5c976af8d42013c7ec8a01a6",
         "2467387d448128b4e07c50b3973c3b6e910672e6eb237a1b5843317892652536",
     ),
     "hard_lottery": (
-        "7202361e0e0933f2aa4ba213bc857d828fdb74e823c72cd0f3abd257bcc6096c",
-        "47fc0b18a4940e9577dfc4988493012fc3b2a7e1a5d9299abb083bba320ecc5f",
+        "1610bcb56a57785fc3214a3a78d7d777c8833df0a91e2c160179cc7309925655",
+        "771468643d8542f1b2f50d9e447d569d6363bf2067d62dbac0049dfe9a98af43",
     ),
     "late_spawn": (
-        "c654e461fe0482f677fe3c8e13ee0b51996f171c8544dbfd3c2367461b6d8c72",
-        "347d41f0600e3ab181fb0db281b15ae4161b3ed862aea9853d0d5cfde82b40e2",
+        "7ee7a74ae5c4cef6e954caed8862ab76f5d49763ff020af05d9cfc7c31d808d4",
+        "541007531ab344afdbc8a4b6541fccb57836bd39b24acd8cd1083e255cb7cce3",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: 28 of its 29 mine calls exhaust
-# q_max and 1 block is found, so the export pins the exhaustion path, a block
+# A hard lottery on a lossy, delayed network: 26 of its 28 mine calls exhaust
+# q_max and 2 blocks are found, so the export pins the exhaustion path, a block
 # delivered a round late, and the monitoring and credibility columns of
 # metrics.csv.
 HARD_LOTTERY = {
@@ -568,7 +568,7 @@ def test_late_spawn_exports_match_golden_digests(tmp_path):
 
 def test_late_spawn_reference_replica_switches_branches_by_score():
     """Among the pinned exports only the late-spawn run moves its reference
-    replica from one branch to another (43 times), so its digest is the one
+    replica from one branch to another (35 times), so its digest is the one
     that covers fork choice by score; this keeps that coverage from silently
     disappearing."""
     tips = []

@@ -1,13 +1,15 @@
 """Deterministic message fabric and the traffic generator."""
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, chisquare
+from scipy.stats import binom, binomtest, chisquare
 
+from cidnsim import netsim
 from cidnsim.netsim import (
     KIND_BLOCK,
     KIND_CHALLENGE,
@@ -16,6 +18,7 @@ from cidnsim.netsim import (
     Network,
     derived_rng,
     host_traffic,
+    keyed_draws,
 )
 
 
@@ -60,7 +63,7 @@ def test_drop_probability_extremes():
 def test_drop_rate_is_roughly_calibrated():
     net = Network(seed=3, drop_prob=0.3)
     for i in range(20_000):
-        net.send(KIND_TRANSACTION, "a", ("b",), i, 0)
+        net.send(KIND_TRANSACTION, "a", ("b",), i, i)
     survived = delivered_count(net)
     assert survived / 20_000 == pytest.approx(0.7, abs=0.02)
 
@@ -73,21 +76,55 @@ def test_drop_streams_are_per_pair():
         out = []
         for i in range(200):
             if extra_link:
-                net.send(KIND_TRANSACTION, "a", ("c",), i, 0)
-            net.send(KIND_TRANSACTION, "a", ("b",), i, 0)
-        for m in net.step(0).get("b", []):
+                net.send(KIND_TRANSACTION, "a", ("c",), i, i)
+            net.send(KIND_TRANSACTION, "a", ("b",), i, i)
+        for m in net.step(200).get("b", []):
             out.append(m.payload)
         return out
 
+    assert 0 < len(survivors(False)) < 200
     assert survivors(False) == survivors(True)
 
 
-def test_a_lossless_network_holds_no_drop_streams():
+def test_keyed_drops_follow_the_drop_probability():
+    """Binomial test of 20,000 keyed copies, over every kind, five receivers
+    and 1,000 rounds, against a survival rate of 0.7."""
+    net = Network(seed=3, drop_prob=0.3)
+    kinds = (KIND_TRANSACTION, KIND_BLOCK, KIND_CHALLENGE, KIND_RESPONSE)
+    for rnd in range(1000):
+        for kind in kinds:
+            net.send(kind, "a", ("a", "b", "c", "d", "e"), None, rnd)
+    assert binomtest(delivered_count(net), 20_000, 0.7).pvalue > 1e-3
+
+
+def test_an_extra_message_leaves_every_other_delivery_unchanged():
+    """A drop is keyed by its own message, so one more message of another
+    kind between one pair shifts the fate of no other copy."""
+
+    def delivered(extra: bool) -> dict[str, list]:
+        net = Network(seed=5, drop_prob=0.3)
+        for rnd in range(200):
+            net.send(KIND_TRANSACTION, "a", ("b", "c"), ("tx", rnd), rnd)
+            if extra and rnd == 20:
+                net.send(KIND_CHALLENGE, "a", ("b",), "extra", rnd)
+            net.send(KIND_BLOCK, "a", ("b", "c"), ("blk", rnd), rnd)
+        return {
+            r: [m.payload for m in inbox if m.payload != "extra"]
+            for r, inbox in net.step(10**9).items()
+        }
+
+    assert delivered(True) == delivered(False)
+
+
+def test_a_lossless_network_makes_no_draw(monkeypatch):
+    def no_draw(*key):
+        raise AssertionError(f"drew {key}")
+
+    monkeypatch.setattr(netsim, "keyed_draws", no_draw)
     net = Network(seed=5, drop_prob=0.0)
     for i in range(10):
         net.send(KIND_TRANSACTION, "a", ("a", "b", "c"), i, 0)
     assert delivered_count(net) == 30
-    assert net._drop_streams == {}
 
 
 def test_every_receiver_of_a_broadcast_gets_the_same_message():
@@ -100,22 +137,20 @@ def test_every_receiver_of_a_broadcast_gets_the_same_message():
 
 
 class PerCopyNetwork:
-    """The fabric's rule, one copy per receiver: each copy is dropped on its
-    (sender, receiver) stream, a send makes one copy per receiver named, in
-    that order, and ``step`` hands the due copies over in the order of
-    sending."""
+    """The fabric's rule, one copy per receiver: each copy is dropped by the
+    draw keyed (sender, receiver, round, kind), a send makes one copy per
+    receiver named, in that order, and ``step`` hands the due copies over in
+    the order of sending."""
 
     def __init__(self, seed, drop_prob, delay_rounds):
         self.seed, self.drop_prob, self.delay = seed, drop_prob, delay_rounds
-        self.pending, self.streams = [], {}
+        self.pending = []
 
     def send(self, kind, sender, receivers, payload, rnd):
         for receiver in receivers:
             if self.drop_prob > 0.0:
-                key = ("drop", sender, receiver)
-                if key not in self.streams:
-                    self.streams[key] = derived_rng(self.seed, *key)
-                if self.streams[key].random() < self.drop_prob:
+                u = keyed_draws(self.seed, "drop", sender, receiver, rnd, kind)[0]
+                if u < self.drop_prob:
                     continue
             self.pending.append((kind, sender, receiver, payload, rnd + self.delay))
 
@@ -182,6 +217,14 @@ def test_derived_rng_streams_are_independent_and_reproducible():
     b = [derived_rng(9, "x", 2).random() for _ in range(3)]
     assert a1 == a2
     assert a1 != b
+
+
+def test_keyed_draws_are_the_words_of_the_digest_derived_rng_seeds_from():
+    digest = hashlib.sha256(repr((9, "x", 1)).encode()).digest()
+    words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
+    assert keyed_draws(9, "x", 1) == tuple((w >> 11) / 2**53 for w in words)
+    assert derived_rng(9, "x", 1).random() == random.Random(words[0]).random()
+    assert keyed_draws(9, "x", 2) != keyed_draws(9, "x", 1)
 
 
 def test_host_traffic_degenerate_detectors():

@@ -1,13 +1,16 @@
 """Node behavior loop: challenges, adversarial distortion, and the full
 round loop wired through the simulation driver."""
 
+import gc
 import hashlib
+import random
 from collections import Counter
-from types import SimpleNamespace
+from types import FunctionType, ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest, kstest
 
 from cidnsim import chain as chain_module
 from cidnsim import consensus as consensus_module
@@ -98,13 +101,88 @@ def test_ignorant_node_answers_unsure():
     assert answer(node, rnd=5) is UNSURE
 
 
-@pytest.mark.parametrize("know_prob,streams", [(1.0, 0), (0.0, 0), (0.5, 1)])
-def test_a_node_draws_a_response_stream_only_where_the_draw_decides(know_prob, streams):
-    """``random()`` lies in [0, 1), so a node that always or never knows
-    answers without creating or drawing the stream of the challenger."""
+def count_keyed_draws(monkeypatch) -> Counter:
+    """The nodes' keyed draws from now on, counted by purpose."""
+    purposes = Counter()
+    draw = node_module.keyed_draws
+
+    def counted(seed, purpose, *key):
+        purposes[purpose] += 1
+        return draw(seed, purpose, *key)
+
+    monkeypatch.setattr(node_module, "keyed_draws", counted)
+    return purposes
+
+
+@pytest.mark.parametrize("know_prob,draws", [(1.0, 0), (0.0, 0), (0.5, 1)])
+def test_a_node_draws_a_response_stream_only_where_the_draw_decides(
+    monkeypatch, know_prob, draws
+):
+    """A draw lies in [0, 1), so a node that always or never knows answers
+    without drawing."""
+    purposes = count_keyed_draws(monkeypatch)
     node = make_node(Behavior(kind="honest"), know_prob=know_prob)
     assert answer(node, 0.8, rnd=5) in (0.8, UNSURE)
-    assert len(node._response_rngs) == streams
+    assert purposes["response"] == draws
+
+
+def challenged(challenge_prob: float, n_peers: int, rounds: int) -> list[dict[str, float]]:
+    """Each round's priorities of a node that may challenge ``n_peers`` peers."""
+    node = make_node(Behavior(kind="honest"))
+    peers = [f"peer-{k}" for k in range(n_peers)]
+    node.ctx.index_of.update({peer: k + 2 for k, peer in enumerate(peers)})
+    node.ctx.network = NetParams(challenge_prob=challenge_prob)
+    return [node._issue_challenges([node.node_id, *peers], rnd) for rnd in range(rounds)]
+
+
+def test_challenge_decisions_follow_the_challenge_probability():
+    """Binomial test of 20,000 keyed (peer, round) decisions against 0.3."""
+    picked = sum(map(len, challenged(0.3, 100, 200)))
+    assert binomtest(picked, 20_000, 0.3).pvalue > 1e-3
+
+
+def test_challenge_priorities_are_uniform():
+    """Kolmogorov-Smirnov test of 20,000 keyed priorities against U(0, 1)."""
+    priorities = [u for rnd in challenged(1.0, 100, 200) for u in rnd.values()]
+    assert len(priorities) == 20_000
+    assert kstest(priorities, "uniform").pvalue > 1e-3
+
+
+def reachable_randoms(root) -> list[random.Random]:
+    """Every ``random.Random`` reachable from ``root`` through containers,
+    instances and closures, without entering classes or modules."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, random.Random):
+            found.append(obj)
+        elif isinstance(obj, FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_node_or_network_holds_a_stream_per_peer_pair(monkeypatch):
+    """After a lossy, delayed run in which every answer is drawn, each node
+    holds one stream per monitored host and the network holds none."""
+    config = small_config(
+        rounds=15,
+        network={"challenge_prob": 0.5, "drop_prob": 0.2, "delay_rounds": 2},
+        nodes=[{"fp": 0.02, "fn": 0.02, "know_prob": 0.5} for _ in range(5)],
+    )
+    purposes = count_keyed_draws(monkeypatch)
+    sim = Simulation(config)
+    sim.run()
+    assert purposes["challenge"] > 0 and purposes["response"] > 0
+    assert reachable_randoms(sim.network) == []
+    for node in sim.nodes:
+        streams = reachable_randoms(node)
+        assert len(streams) == len(node.monitors) > 0
+        assert {id(rng) for rng in streams} == set(map(id, node._traffic_rngs.values()))
 
 
 def test_sybil_always_unsure():
