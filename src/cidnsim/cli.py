@@ -73,7 +73,9 @@ def _run_one(config: SimConfig, out_dir: str, verbose: bool) -> dict:
     return summary
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> SimConfig | int:
+    """The config that ``--config`` names, with ``rng_seed`` set to
+    ``--seed`` when given; or the exit code of the error that stopped it."""
     try:
         config = load_config(args.config)
         if args.seed is not None:
@@ -84,7 +86,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
+    return config
 
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _load(args)
+    if isinstance(config, int):
+        return config
     try:
         summary = _run_one(config, args.out, args.verbose)
         print(f"{summary['rounds']} rounds, chain height "
@@ -124,14 +132,9 @@ def verify_chain(chain_path: str, config: SimConfig) -> tuple[bool, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"io error: {e}", file=sys.stderr)
-        return EXIT_IO
+    config = _load(args)
+    if isinstance(config, int):
+        return config
     try:
         ok, report = verify_chain(args.chain, config)
     except OSError as e:
@@ -212,9 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    seed_help = "use this rng_seed instead of the config's"
     p_run = sub.add_parser("run", help="execute a scenario")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=None, help=seed_help)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=cmd_run)
@@ -222,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-validate an exported chain")
     p_verify.add_argument("--chain", required=True)
     p_verify.add_argument("--config", required=True)
+    p_verify.add_argument("--seed", type=int, default=None, help=seed_help)
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", help="summarize a metrics directory")

@@ -1,10 +1,11 @@
-"""Deterministic round-based message fabric.
+"""Deterministic round-based message fabric and the traffic model.
 
-Every random decision is keyed by (seed, purpose, participants), and a
-drop, a challenge or an answer by its round too (``keyed_draws``), so
-adding a node or a message never perturbs another draw.  Messages
-scheduled and not dropped are delivered exactly once; each receiver gets
-its messages in the order they were sent.
+Every random decision is keyed by (seed, purpose, participants, round)
+(``keyed_draws``): a drop, a challenge, an answer, and a monitoring
+interval's traffic count, which ``host_traffic`` turns from one uniform
+into a binomial count.  So adding a node, a message or a round never
+perturbs another draw.  Messages scheduled and not dropped are delivered
+exactly once; each receiver gets its messages in the order they were sent.
 
 The fabric keeps no membership: every send names its receivers.  A
 scheduled message is held once, with the receivers whose copy survived,
@@ -119,7 +120,7 @@ def host_traffic(
     fp: float,
     fn: float,
     interval_len: int,
-    rng: random.Random,
+    u: float,
 ) -> tuple[int, int]:
     """Simulate one monitoring interval of packets through a noisy detector.
 
@@ -128,18 +129,48 @@ def host_traffic(
     probability fn.  Returns (detected-normal count, total packets).
 
     Packets are independent, so the count is Binomial(interval_len, q) with
-    q = p_mal*fn + (1-p_mal)*(1-fp).  It is drawn by skipping geometric gaps
-    between packets of the rarer label (Devroye 1986, ch. X): one draw per
-    packet of that label, plus at most one to find that no more follow.
+    q = p_mal*fn + (1-p_mal)*(1-fp).  It is the inverse of the one uniform
+    ``u`` in [0, 1), found by the modal search (Kemp 1986): outcomes are
+    taken in the order m, m+1, m-1, m+2, ... from the mode m, each one's
+    mass subtracted from ``u``, until ``u`` falls below 0.  That takes
+    O(sqrt(interval_len q (1-q))) steps on average.  Once no further mass
+    can change ``u``, the mass that rounding left unassigned goes to m.
     """
+    n = interval_len
     q = p_mal * fn + (1.0 - p_mal) * (1.0 - fp)
-    p = min(q, 1.0 - q)
-    rare, left = 0, interval_len if p > 0.0 else 0
-    log_miss = math.log1p(-p)
-    while left > 0:
-        gap = math.log(1.0 - rng.random()) / log_miss
-        if gap >= left:  # compared as a float: a subnormal p makes it inf
+    if q <= 0.0:
+        return 0, n
+    if q >= 1.0:
+        return n, n
+    m = int((n + 1) * q)
+    mass = math.exp(
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        + m * math.log(q) + (n - m) * math.log1p(-q)
+    )
+    u -= mass
+    if u < 0.0:
+        return m, n
+    odds = q / (1.0 - q)
+    up = down = mass
+    for step in range(1, max(m, n - m) + 1):
+        k = m + step
+        if k <= n:
+            up *= (n - k + 1) / k * odds
+            u -= up
+            if u < 0.0:
+                return k, n
+        else:
+            up = 0.0
+        k = m - step
+        if k >= 0:
+            down *= (k + 1) / (n - k) / odds
+            u -= down
+            if u < 0.0:
+                return k, n
+        else:
+            down = 0.0
+        # masses only shrink away from the mode, so none that follows can
+        # change u once these two do not
+        if u - up == u and u - down == u:
             break
-        left -= int(gap) + 1
-        rare += 1
-    return (rare if q <= 0.5 else interval_len - rare), interval_len
+    return m, n

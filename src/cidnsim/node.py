@@ -36,7 +36,6 @@ from .netsim import (
     KIND_RESPONSE,
     KIND_TRANSACTION,
     Message,
-    derived_rng,
     host_traffic,
     keyed_draws,
 )
@@ -131,7 +130,7 @@ class RuntimeContext:
     """
 
     __slots__ = ("seed", "trust_params", "validation_context", "index_of", "host_ids",
-                 "host_pmal", "network", "collusion_groups", "block_store")
+                 "host_index", "host_pmal", "network", "collusion_groups", "block_store")
 
     def __init__(
         self, seed: int, trust_params: TrustParams, validation_context: ValidationContext,
@@ -143,6 +142,8 @@ class RuntimeContext:
         self.validation_context = validation_context
         self.index_of = index_of
         self.host_ids = host_ids
+        # host id -> its number, which keys the host's traffic draws
+        self.host_index = {ip: i for i, ip in enumerate(host_ids)}
         self.host_pmal = host_pmal
         self.network = network
         # node_id -> group id
@@ -196,10 +197,6 @@ class Node:
         self.invalid_reasons: Counter[str] = Counter()  # reason code -> blocks dropped
         self.mining_attempts = 0
         self.blocks_mined = 0
-
-        self._traffic_rngs = {
-            ip: derived_rng(ctx.seed, "traffic", index, ip) for ip in self.monitors
-        }
 
     # -- helpers ----------------------------------------------------------
 
@@ -363,15 +360,17 @@ class Node:
     # -- (3) measurement --------------------------------------------------
 
     def _measure_traffic(self, rnd: int) -> None:
-        p = self.ctx.trust_params
+        """Count each monitored host's packets of round ``rnd`` from the one
+        draw keyed (this node, host, ``rnd``), so a skipped round shifts no
+        other round's count."""
+        ctx = self.ctx
+        p = ctx.trust_params
         for ip in self.monitors:
             state = self.host_trust[ip]
             if is_blacklisted(state, p):
                 continue  # packets dropped unseen
-            k, n = host_traffic(
-                self.ctx.host_pmal[ip], self.fp, self.fn, p.interval_len,
-                self._traffic_rngs[ip],
-            )
+            u = keyed_draws(ctx.seed, "traffic", self.index, ctx.host_index[ip], rnd)[0]
+            k, n = host_traffic(ctx.host_pmal[ip], self.fp, self.fn, p.interval_len, u)
             tr_inst = trust.measure_instantaneous_trust(k, n)
             self.host_trust[ip] = update_accumulated_trust(state, tr_inst, p)
             digests: tuple[bytes, ...] = ()

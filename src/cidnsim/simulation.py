@@ -3,7 +3,7 @@ round loop, collecting per-round metrics.
 
 Everything is a pure function of (config, seed): keys are derived from the
 seed, and every random decision is keyed by (seed, purpose, participants,
-round), or draws from a monitored host's own traffic stream.
+round).
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ class _Unsure:
 
 UNSURE = _Unsure()
 
-# the most packets a monitoring interval may hold: each node draws a
-# monitored host's traffic once per packet of its rarer label, every round
+# the most packets a monitoring interval may hold: each node counts a
+# monitored host's traffic every round, by a search of O(sqrt(packets)) steps
 MAX_INTERVAL_LEN = 10**6
 
 

@@ -128,8 +128,8 @@ def test_the_node_count_is_bounded():
 
 
 def test_the_interval_length_is_bounded():
-    """Each node draws a monitored host's traffic once per packet of the
-    rarer label, every round, so an interval holds at most MAX_INTERVAL_LEN
+    """Each node counts a monitored host's traffic every round by a search
+    of O(sqrt(packets)) steps, so an interval holds at most MAX_INTERVAL_LEN
     packets."""
     trust = BASE["trust"]
     bounded = variant(trust={**trust, "interval_len": MAX_INTERVAL_LEN})

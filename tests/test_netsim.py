@@ -227,24 +227,25 @@ def test_keyed_draws_are_the_words_of_the_digest_derived_rng_seeds_from():
     assert keyed_draws(9, "x", 2) != keyed_draws(9, "x", 1)
 
 
+# the largest uniform that keyed_draws returns
+_TOP = 1.0 - 2.0**-53
+
+
 def test_host_traffic_degenerate_detectors():
-    rng = random.Random(0)
-    k, n = host_traffic(p_mal=0.0, fp=0.0, fn=0.0, interval_len=500, rng=rng)
-    assert (k, n) == (500, 500)
-    k, n = host_traffic(p_mal=1.0, fp=0.0, fn=0.0, interval_len=500, rng=rng)
-    assert (k, n) == (0, 500)
+    for u in (0.0, 0.5, _TOP):
+        assert host_traffic(p_mal=0.0, fp=0.0, fn=0.0, interval_len=500, u=u) == (500, 500)
+        assert host_traffic(p_mal=1.0, fp=0.0, fn=0.0, interval_len=500, u=u) == (0, 500)
 
 
 def test_host_traffic_rate_matches_mixture_model():
     """P(labelled normal) = (1-p_mal)(1-fp) + p_mal*fn."""
     p_mal, fp, fn = 0.3, 0.02, 0.02
     expected = (1 - p_mal) * (1 - fp) + p_mal * fn
-    rng = derived_rng(11, "traffic-oracle")
-    total_k = 0
     trials = 200
-    for _ in range(trials):
-        k, _ = host_traffic(p_mal, fp, fn, 500, rng)
-        total_k += k
+    total_k = sum(
+        host_traffic(p_mal, fp, fn, 500, keyed_draws(11, "traffic-oracle", i)[0])[0]
+        for i in range(trials)
+    )
     assert total_k / (trials * 500) == pytest.approx(expected, abs=0.015)
 
 
@@ -257,12 +258,15 @@ _RATES = [(0.9, 0.11, 0.03), (0.25, 0.4, 0.2), (0.05, 0.03, 0.21)]
 @pytest.mark.parametrize("p_mal, fp, fn", _RATES, ids=["q0.116", "q0.5", "q0.932"])
 @pytest.mark.parametrize("n", [50, 300, 10_000])
 def test_host_traffic_counts_follow_the_binomial(p_mal, fp, fn, n):
-    """Pearson chi-square of 500 seeded counts against Binomial(n, q), with
-    adjacent counts pooled until each bin expects at least five."""
+    """Pearson chi-square of 500 counts, each from one keyed uniform, against
+    Binomial(n, q), with adjacent counts pooled until each bin expects at
+    least five."""
     q = p_mal * fn + (1 - p_mal) * (1 - fp)
     samples = 500
-    rng = derived_rng(13, "binomial", n, q)
-    seen = Counter(host_traffic(p_mal, fp, fn, n, rng)[0] for _ in range(samples))
+    seen = Counter(
+        host_traffic(p_mal, fp, fn, n, keyed_draws(13, "binomial", n, q, i)[0])[0]
+        for i in range(samples)
+    )
     observed, expected, o, e = [], [], 0, 0.0
     for k, mass in enumerate(binom.pmf(range(n + 1), n, q)):
         o, e = o + seen[k], e + mass * samples
@@ -276,14 +280,16 @@ def test_host_traffic_counts_follow_the_binomial(p_mal, fp, fn, n):
     assert chisquare(observed, expected).pvalue > 1e-3
 
 
-class CountingRandom(random.Random):
-    """A Random that counts its ``random()`` draws."""
-
-    draws = 0
-
-    def random(self):
-        self.draws += 1
-        return super().random()
+@pytest.mark.parametrize("p_mal, fp, fn", _RATES, ids=["q0.116", "q0.5", "q0.932"])
+def test_host_traffic_is_the_inverse_of_its_uniform(p_mal, fp, fn):
+    """Each count is the inverse of one contiguous stretch of uniforms, as
+    long as its mass: over 20,000 evenly spaced uniforms, every count of
+    Binomial(300, q) comes up within one of 20,000 times its mass."""
+    q = p_mal * fn + (1 - p_mal) * (1 - fp)
+    grid = 20_000
+    seen = Counter(host_traffic(p_mal, fp, fn, 300, (i + 0.5) / grid)[0] for i in range(grid))
+    masses = binom.pmf(range(301), 300, q)
+    assert max(abs(seen[k] - grid * mass) for k, mass in enumerate(masses)) <= 1.0 + 1e-6
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,21 +298,14 @@ class CountingRandom(random.Random):
     fp=st.floats(0.0, 1.0),
     fn=st.floats(0.0, 1.0),
     interval_len=st.integers(0, 10**4),
-    seed=st.integers(0, 2**32),
+    u=st.floats(0.0, 1.0, exclude_max=True),
 )
-# an always-malicious host and a subnormal fn: every geometric gap is inf
-@example(p_mal=1.0, fp=0.0, fn=1e-310, interval_len=50, seed=0)
-def test_host_traffic_draws_once_per_packet_of_the_rarer_label(
-    p_mal, fp, fn, interval_len, seed
-):
-    rng = CountingRandom(seed)
-    k, n = host_traffic(p_mal, fp, fn, interval_len, rng)
-    draws = rng.draws
+# an always-malicious host and a subnormal fn: q is subnormal
+@example(p_mal=1.0, fp=0.0, fn=1e-310, interval_len=50, u=_TOP)
+# the longest interval, the widest count and the last uniform, whose mass
+# rounding may leave unassigned: the search still ends
+@example(p_mal=0.5, fp=0.5, fn=0.5, interval_len=10**6, u=_TOP)
+def test_host_traffic_is_a_pure_function_of_its_uniform(p_mal, fp, fn, interval_len, u):
+    k, n = host_traffic(p_mal, fp, fn, interval_len, u)
     assert type(k) is int and n == interval_len and 0 <= k <= n
-    again = random.Random(seed)
-    assert host_traffic(p_mal, fp, fn, interval_len, again) == (k, n)
-    assert again.random() == rng.random()
-    # the rarer label is alert when q > 1/2; a further draw may end the search
-    q = p_mal * fn + (1 - p_mal) * (1 - fp)
-    rarer = k if q <= 0.5 else n - k
-    assert rarer <= draws <= rarer + 1
+    assert host_traffic(p_mal, fp, fn, interval_len, u) == (k, n)

@@ -39,10 +39,12 @@ from cidnsim.netsim import (
     KIND_TRANSACTION,
     Message,
     Network,
+    host_traffic,
+    keyed_draws,
 )
 from cidnsim.node import Behavior, Node, RuntimeContext
 from cidnsim.simulation import Simulation, key_for
-from cidnsim.trust import UNSURE, TrustParams
+from cidnsim.trust import UNSURE, HostTrustState, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
 from oracles import last_seqs, replay_check
 
@@ -167,8 +169,8 @@ def reachable_randoms(root) -> list[random.Random]:
 
 
 def test_no_node_or_network_holds_a_stream_per_peer_pair(monkeypatch):
-    """After a lossy, delayed run in which every answer is drawn, each node
-    holds one stream per monitored host and the network holds none."""
+    """After a lossy, delayed, noisy run in which every answer is drawn, no
+    node and not the network holds a random stream."""
     config = small_config(
         rounds=15,
         network={"challenge_prob": 0.5, "drop_prob": 0.2, "delay_rounds": 2},
@@ -177,12 +179,44 @@ def test_no_node_or_network_holds_a_stream_per_peer_pair(monkeypatch):
     purposes = count_keyed_draws(monkeypatch)
     sim = Simulation(config)
     sim.run()
-    assert purposes["challenge"] > 0 and purposes["response"] > 0
     assert reachable_randoms(sim.network) == []
     for node in sim.nodes:
-        streams = reachable_randoms(node)
-        assert len(streams) == len(node.monitors) > 0
-        assert {id(rng) for rng in streams} == set(map(id, node._traffic_rngs.values()))
+        assert node.monitors
+        assert reachable_randoms(node) == []
+    assert purposes["challenge"] > 0 and purposes["response"] > 0
+    assert purposes["traffic"] > 0
+
+
+def traffic_counts(blacklisted: set[int]) -> dict[tuple[str, int], int]:
+    """Node 1's normal count for each (host, round) of rounds 1-12, with all
+    its hosts held blacklisted, and so not measured, in ``blacklisted``."""
+    node = Simulation(small_config()).nodes[1]
+    counts = {}
+    for rnd in range(1, 13):
+        for ip in node.monitors:
+            node.host_trust[ip] = HostTrustState(tr_ids=0.1 if rnd in blacklisted else 0.5)
+        node._measure_traffic(rnd)
+        if rnd not in blacklisted:
+            for ip in node.monitors:
+                counts[(ip, rnd)] = node.evidence[ip].normal_count
+    return counts
+
+
+def test_a_traffic_count_is_the_draw_keyed_by_its_node_host_and_round():
+    """A round without measurement shifts no later count: each count is the
+    keyed draw of (node, host, round), whatever came before."""
+    counts = traffic_counts(set())
+    assert len(set(counts.values())) > 1
+    skipped = {3, 4, 7}
+    assert traffic_counts(skipped) == {
+        key: k for key, k in counts.items() if key[1] not in skipped
+    }
+    config = small_config()
+    host_ids = Simulation(config).host_ids
+    for (ip, rnd), k in counts.items():
+        h = host_ids.index(ip)
+        u = keyed_draws(config.rng_seed, "traffic", 1, h, rnd)[0]
+        assert host_traffic(config.hosts[h].p_mal, 0.02, 0.02, 50, u) == (k, 50)
 
 
 def test_sybil_always_unsure():
