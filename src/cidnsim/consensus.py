@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 # the most counter attempts a node may make per round: every eligible node
-# may hash up to q_max preimages each round, about 1 us apiece, so 2^20
-# attempts cost about a second per eligible node per round
+# may hash up to q_max preimages each round, about 0.36 us apiece on a 2-vCPU
+# x86-64 host (CPython 3.11), so 2^20 attempts take about 0.4 s per eligible
+# node per round
 MAX_Q_MAX = 1 << 20
 
 
@@ -185,24 +186,38 @@ def mining_bound(target_v: float, r_bits: int) -> bytes:
     return (lo << (64 - r_bits)).to_bytes(8, "big")
 
 
+# the 256 one-byte strings, so that byte i is _ONE_BYTE[i]
+_ONE_BYTE = tuple(bytes((i,)) for i in range(256))
+
+
 def mine(
     g_value: bytes, gen_time: int, target_v: float, q_max: int, r_bits: int
 ) -> tuple[int | None, int]:
     """Search the counter space; returns (winning ctr or None, attempts made).
 
     Never exceeds q_max hash evaluations.  Each attempt hashes the same
-    preimage as ``_mining_hash`` and applies the ``mining_bound`` rule; the
-    fixed prefix is fed to one hash object, which each attempt copies, as
-    copying is cheaper than starting a new hash.
+    preimage as ``_mining_hash`` and applies the ``mining_bound`` rule.  The
+    fixed prefix is fed once to one hash object.  The 8-byte counter is fed
+    in two parts: counters 256*h .. 256*h + 255 share their first seven
+    bytes, which a copy of the prefix object takes once per run of 256, and
+    each attempt copies that object and feeds the last byte.  Copying a fed
+    object is not cheaper than hashing 48 bytes afresh; it wins because no
+    preimage is packed or concatenated per attempt.
     """
     bound = mining_bound(target_v, r_bits)
     fresh = new_sha256(g_value + enc_int(gen_time)).copy
-    pack = enc_int
-    for ctr in range(1, q_max + 1):
-        h = fresh()
-        h.update(pack(ctr))
-        if h.digest() < bound:
-            return ctr, ctr
+    for high in range((q_max >> 8) + 1):
+        base = high << 8
+        run = fresh()
+        run.update(high.to_bytes(7, "big"))
+        feed = run.copy
+        # counter 0 is never tried, and the last run stops at q_max
+        for low in _ONE_BYTE[not high : q_max - base + 1]:
+            h = feed()
+            h.update(low)
+            if h.digest() < bound:
+                ctr = base + low[0]
+                return ctr, ctr
     return None, q_max
 
 
