@@ -26,6 +26,7 @@ __all__ = [
     "Chain",
     "ChainError",
     "build_transaction",
+    "scored_peers",
     "verify_transaction",
     "hash_block",
     "transaction_root",
@@ -109,24 +110,25 @@ class Transaction(Record):
 
     ``seq`` is the round the transaction was built in: a node builds at most
     one per round, so it rises with each transaction of a signer.
+    ``cred_list`` names no peer: it scores the members at ``seq``, in the
+    order of ``scored_peers``.
 
     The encoding and its 32-byte digest are the only bytes a transaction
     keeps: the signed bytes and the body are cut from the encoding.  The
-    lists are also kept as two maps, built once, which every reader of chain
-    state shares.
+    host lists are also kept as a map, built once, which every reader of
+    chain state shares.
     """
 
-    __slots__ = ("tx_id", "ids_id", "seq", "peer_list", "cred_list", "host_list",
+    __slots__ = ("tx_id", "ids_id", "seq", "cred_list", "host_list",
                  "trust_list", "evidence_list", "signature",
-                 "_memo_encode", "_memo_digest", "_memo_peer_creds", "_memo_host_trusts")
+                 "_memo_encode", "_memo_digest", "_memo_host_trusts")
 
     def __init__(
-        self, tx_id: bytes, ids_id: str, seq: int, peer_list: tuple[str, ...],
-        cred_list: tuple[float, ...], host_list: tuple[str, ...],
-        trust_list: tuple[float, ...], evidence_list: tuple[EvidenceRecord, ...],
-        signature: bytes,
+        self, tx_id: bytes, ids_id: str, seq: int, cred_list: tuple[float, ...],
+        host_list: tuple[str, ...], trust_list: tuple[float, ...],
+        evidence_list: tuple[EvidenceRecord, ...], signature: bytes,
     ) -> None:
-        self._set(tx_id, ids_id, seq, peer_list, cred_list, host_list, trust_list,
+        self._set(tx_id, ids_id, seq, cred_list, host_list, trust_list,
                   evidence_list, signature)
 
     def body_bytes(self) -> bytes:
@@ -145,7 +147,6 @@ class Transaction(Record):
             self.tx_id
             + enc_str(self.ids_id)
             + enc_int(self.seq)
-            + enc_list(self.peer_list, enc_str)
             + enc_list(self.cred_list, enc_real)
             + enc_list(self.host_list, enc_str)
             + enc_list(self.trust_list, enc_real)
@@ -160,14 +161,15 @@ class Transaction(Record):
         return sha256(self.encode())
 
     @_memoized
-    def peer_creds(self) -> dict[str, float]:
-        """Peer -> credibility, in list order.  Shared: never edit it."""
-        return dict(zip(self.peer_list, self.cred_list))
-
-    @_memoized
     def host_trusts(self) -> dict[str, float]:
         """Host -> trust, in list order.  Shared: never edit it."""
         return dict(zip(self.host_list, self.trust_list))
+
+
+def scored_peers(members: Iterable[str], signer: str) -> list[str]:
+    """The peers a transaction of ``signer`` scores, in ``cred_list`` order:
+    the members at its ``seq`` other than the signer, sorted by id."""
+    return sorted(m for m in members if m != signer)
 
 
 def build_transaction(
@@ -180,17 +182,18 @@ def build_transaction(
     """Assemble, hash, and sign a transaction from a node's current lists,
     built in round ``seq``.
 
-    Peer and host sections are ordered by identifier for determinism.
+    ``peer_creds`` holds a credibility of each member at ``seq`` other than
+    the signer; the list keeps the values only, in ``scored_peers`` order.
+    Host sections are ordered by identifier for determinism.
     """
     evidence = evidence or {}
-    creds = {p: peer_creds[p] for p in sorted(peer_creds)}
+    creds = tuple(peer_creds[p] for p in scored_peers(peer_creds, key.node_id))
     trusts = {h: host_trusts[h] for h in sorted(host_trusts)}
     ev = tuple(
         evidence[h] if h in evidence else EvidenceRecord(h, (), 0, 0) for h in trusts
     )
     lists = (
-        key.node_id, seq, tuple(creds), tuple(creds.values()), tuple(trusts),
-        tuple(trusts.values()), ev,
+        key.node_id, seq, creds, tuple(trusts), tuple(trusts.values()), ev,
     )
     # the body leaves out the id and the signature, so it is the signed
     # transaction's body too; the bytes signed, with the signature, are the
@@ -201,18 +204,16 @@ def build_transaction(
     signature = key.sign(signed)
     tx = Transaction(tx_id, *lists, signature)
     return _with_memo(
-        tx, encode=signed + enc_bytes(signature), peer_creds=creds, host_trusts=trusts
+        tx, encode=signed + enc_bytes(signature), host_trusts=trusts
     )
 
 
 def verify_transaction(tx: Transaction, registry: KeyRegistry) -> bool:
-    """True iff the signature holds under the registered key, the lists are
-    internally consistent, and every score is in range.  Unknown signers are
+    """True iff the signature holds under the registered key, the host lists
+    are of one length, and every score is in range.  Unknown signers are
     treated as unauthenticated and rejected."""
     public = registry.get(tx.ids_id)
     if public is None:
-        return False
-    if len(tx.peer_list) != len(tx.cred_list):
         return False
     if not (len(tx.host_list) == len(tx.trust_list) == len(tx.evidence_list)):
         return False
@@ -396,45 +397,31 @@ class Chain:
             last_led[b.header.leader_id] = b.header.gen_time
         return Chain(b, self, latest_tx, last_led, self.score + weight)
 
-    def chain_state_credibility(self, target: str) -> dict[str, float]:
-        """Each observer's most recent on-chain credibility of ``target``."""
-        out: dict[str, float] = {}
-        for observer, tx in self.latest_tx.items():
-            creds = tx.peer_creds()
-            if observer != target and target in creds:
-                out[observer] = creds[target]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # JSON Lines export (hex for hashes and signatures) for external audit.
 
-def _tx_to_dict(tx: Transaction) -> dict:
-    return {
-        "tx_id": tx.tx_id.hex(),
-        "ids_id": tx.ids_id,
-        "seq": tx.seq,
-        "peer_list": list(tx.peer_list),
-        "cred_list": list(tx.cred_list),
-        "host_list": list(tx.host_list),
-        "trust_list": list(tx.trust_list),
-        "evidence_list": [
-            {
-                "host": e.host,
-                "alert_digests": [d.hex() for d in e.alert_digests],
-                "normal_count": e.normal_count,
-                "packet_count": e.packet_count,
-            }
-            for e in tx.evidence_list
-        ],
-        "signature": tx.signature.hex(),
-    }
+def _to_json(value: Any) -> Any:
+    """A record as the JSON object of its fields, a tuple as an array and
+    bytes as hex; any other field is a JSON value already."""
+    if isinstance(value, Record):
+        return {name: _to_json(getattr(value, name)) for name in value._fields}
+    if isinstance(value, tuple):
+        # a record's tuple holds entries of one type, so its first tells
+        # whether they need converting
+        if value and isinstance(value[0], (Record, bytes)):
+            return [_to_json(v) for v in value]
+        return list(value)
+    return value.hex() if isinstance(value, bytes) else value
 
 
 _INT64 = range(-(2**63), 2**63)  # what the canonical encoding can pack
 
 # The readers below return a field when ``json`` decoded it as the type the
 # export writes (so a bool is not an int) and raise ``ChainError`` otherwise.
+# An object's keys are the fields of the record it holds; any other key is
+# refused, not ignored, since no signature covers it.
+_KEYS = {cls: frozenset(cls._fields) for cls in (EvidenceRecord, Transaction, BlockHeader, Block)}
 
 
 def _json(value: Any, kind: type, what: str) -> Any:
@@ -443,8 +430,10 @@ def _json(value: Any, kind: type, what: str) -> Any:
     return value
 
 
-def _object(value: Any, what: str) -> dict:
-    return _json(value, dict, what)
+def _object(value: Any, what: str, keys: frozenset[str]) -> dict:
+    if not _json(value, dict, what).keys() <= keys:
+        raise ChainError(f"unknown fields in {what}: {sorted(value.keys() - keys)}")
+    return value
 
 
 def _hex(value: Any, what: str) -> bytes:
@@ -464,49 +453,41 @@ def _array(value: Any, kind: type, what: str) -> list:
     return value
 
 
+def _evidence_from_dict(e: dict) -> EvidenceRecord:
+    _object(e, "evidence entry", _KEYS[EvidenceRecord])
+    return EvidenceRecord(
+        _json(e["host"], str, "evidence host"),
+        tuple(map(bytes.fromhex, _array(e["alert_digests"], str, "alert_digests"))),
+        _int64(e["normal_count"], "normal_count"),
+        _int64(e["packet_count"], "packet_count"),
+    )
+
+
 def _tx_from_dict(d: dict) -> Transaction:
+    _object(d, "transaction", _KEYS[Transaction])
     return Transaction(
         tx_id=_hex(d["tx_id"], "tx_id"),
         ids_id=_json(d["ids_id"], str, "ids_id"),
         seq=_int64(d["seq"], "seq"),
-        peer_list=tuple(_array(d["peer_list"], str, "peer_list")),
         cred_list=tuple(_array(d["cred_list"], float, "cred_list")),
         host_list=tuple(_array(d["host_list"], str, "host_list")),
         trust_list=tuple(_array(d["trust_list"], float, "trust_list")),
         evidence_list=tuple(
-            EvidenceRecord(
-                _json(e["host"], str, "evidence host"),
-                tuple(
-                    map(bytes.fromhex, _array(e["alert_digests"], str, "alert_digests"))
-                ),
-                _int64(e["normal_count"], "normal_count"),
-                _int64(e["packet_count"], "packet_count"),
-            )
-            for e in _array(d["evidence_list"], dict, "evidence_list")
+            map(_evidence_from_dict, _array(d["evidence_list"], dict, "evidence_list"))
         ),
         signature=_hex(d["signature"], "signature"),
     )
 
 
 def block_to_dict(b: Block) -> dict:
-    return {
-        "header": {
-            "block_id": b.header.block_id.hex(),
-            "leader_id": b.header.leader_id,
-            "gen_time": b.header.gen_time,
-            "prev_hash": b.header.prev_hash.hex(),
-            "ctr": b.header.ctr,
-            "target_v": b.header.target_v,
-        },
-        "transactions": [_tx_to_dict(tx) for tx in b.transactions],
-        "leader_signature": b.leader_signature.hex(),
-    }
+    return _to_json(b)
 
 
 def block_from_dict(d: dict) -> Block:
-    """The block of an export line; a field of the wrong JSON type raises
-    ``ChainError``."""
-    h = _object(d["header"], "header")
+    """The block of an export line; a field of the wrong JSON type, or a key
+    the export does not write, raises ``ChainError``."""
+    _object(d, "block", _KEYS[Block])
+    h = _object(d["header"], "header", _KEYS[BlockHeader])
     header = BlockHeader(
         block_id=_hex(h["block_id"], "block_id"),
         leader_id=_json(h["leader_id"], str, "leader_id"),
@@ -540,11 +521,12 @@ def import_chain(path: str) -> tuple[list[Block], KeyRegistry]:
             if not line:
                 continue
             try:
-                d = _object(json.loads(line), "line")
+                d = _json(json.loads(line), dict, "line")
             except RecursionError as e:
                 raise ChainError("line nested too deeply") from e
             if d.get("type") == "registry":
-                for pub_hex in _object(d["keys"], "registry keys").values():
+                _object(d, "registry line", frozenset(("type", "keys")))
+                for pub_hex in _json(d["keys"], dict, "registry keys").values():
                     registry.register(_hex(pub_hex, "registry key"))
             else:
                 blocks.append(block_from_dict(d))

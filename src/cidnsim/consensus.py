@@ -20,6 +20,7 @@ from .chain import (
     Transaction,
     hash_block,
     make_block,
+    scored_peers,
     transaction_root,
     verify_transaction,
 )
@@ -239,29 +240,37 @@ class ValidationContext:
         self.registry = registry
         self.initial_trust = initial_trust  # newcomer credibility of unreported observers
         self.members_at = members_at  # active identities at a round
-        self._tx_verdicts: dict[bytes, bool] = {}
+        self._tx_verdicts: dict[bytes, dict[str, float] | None] = {}
+
+    def peer_creds(self, tx: Transaction) -> dict[str, float] | None:
+        """Peer -> credibility of ``tx``, which only the membership at its
+        ``seq`` names; None unless its signer is a member then, it holds one
+        credibility per other member, and ``verify_transaction`` passes.
+        Computed once per distinct transaction, keyed by the memoized digest,
+        which covers every field; the map is shared, so never edit it."""
+        key = tx.digest()
+        if key not in self._tx_verdicts:
+            members = self.members_at(tx.seq)
+            peers = scored_peers(members, tx.ids_id)
+            ok = (tx.ids_id in members and len(peers) == len(tx.cred_list)
+                  and verify_transaction(tx, self.registry))
+            self._tx_verdicts[key] = dict(zip(peers, tx.cred_list)) if ok else None
+        return self._tx_verdicts[key]
 
     def transaction_ok(self, tx: Transaction) -> bool:
-        """``verify_transaction`` of ``tx`` under the registry, computed once
-        per distinct transaction.  The key is the memoized encoding, which the
-        transaction holds anyway and which carries every field: a copy that
-        keeps the id and the signature but alters the body is checked
-        afresh."""
-        key = tx.encode()
-        ok = self._tx_verdicts.get(key)
-        if ok is None:
-            ok = self._tx_verdicts[key] = verify_transaction(tx, self.registry)
-        return ok
+        return self.peer_creds(tx) is not None
 
 
 def chain_average_credibility(
-    chain: Chain, target: str, members: Sequence[str], initial_trust: float
+    chain: Chain, target: str, members: Sequence[str], ctx: ValidationContext
 ) -> float:
-    """Average credibility of ``target`` from committed chain state; members
-    that have not yet reported about the target count at the newcomer value."""
-    reported = chain.chain_state_credibility(target)
+    """Average credibility of ``target`` from committed chain state, whose
+    transactions ``ctx`` accepted; members that have not yet reported about
+    the target count at the newcomer value."""
+    latest, initial = chain.latest_tx, ctx.initial_trust
     values = {
-        m: reported.get(m, initial_trust) for m in members if m != target
+        m: ctx.peer_creds(latest[m]).get(target, initial) if m in latest else initial
+        for m in members if m != target
     }
     return average_credibility(target, values, len(members))
 
@@ -296,7 +305,7 @@ def _draw(
     validator derive the draw here, from committed state only."""
     p = ctx.params
     members = ctx.members_at(gen_time)
-    avg_cred = chain_average_credibility(parent, leader_id, members, ctx.initial_trust)
+    avg_cred = chain_average_credibility(parent, leader_id, members, ctx)
     eligible, g = check_eligibility(leader_id, p.d_cred, avg_cred, prev_hash, payload)
     if not eligible:
         return None
@@ -357,12 +366,12 @@ def validate_block(
     ids = [tx.ids_id for tx in b.transactions]
     if ids != sorted(set(ids)):
         return False, Reason.TX_ORDER, 0.0
-    # a registered key that has not yet joined signs nothing the block may
-    # carry, nor a transaction built (seq is its round) after the block's
-    # round, nor one its signer has already outdated on the parent
+    # the block may carry no transaction built (seq is its round) in or after
+    # its round, nor one its signer has already outdated on the parent; one
+    # signed before its signer joined fails ``transaction_ok``, and members
+    # never leave
     for tx in b.transactions:
-        if not (tx.ids_id in members and tx.seq < h.gen_time and parent.is_new(tx)
-                and ctx.transaction_ok(tx)):
+        if not (tx.seq < h.gen_time and parent.is_new(tx) and ctx.transaction_ok(tx)):
             return False, Reason.TX_INVALID, 0.0
     draw = _draw(
         parent, h.prev_hash, h.leader_id, h.gen_time, b.payload_bytes(),

@@ -184,10 +184,10 @@ class Simulation:
         from the view of the reference replica; feeds the fairness statistic
         in reports."""
         reference = self.reference.replica
-        tau = self.config.trust.initial_trust
+        vctx = self.ctx.validation_context
         cp = self.config.consensus
         for node_id in members:
-            avg = chain_average_credibility(reference, node_id, members, tau)
+            avg = chain_average_credibility(reference, node_id, members, vctx)
             stake = compute_stake(leader_trust_values(reference, node_id, ()))
             t = min(time_since_last_block(reference, node_id, rnd), cp.t_cap)
             sums[node_id] += stake * avg * t

@@ -30,6 +30,7 @@ from cidnsim.chain import (
     verify_transaction,
 )
 from oracles import replay_check
+from cidnsim.consensus import ConsensusParams, ValidationContext, chain_average_credibility
 from cidnsim.keys import KeyPair, KeyRegistry
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -62,8 +63,7 @@ def test_transaction_round_trip_and_verify(registry_and_keys):
         {"10.0.0.1": ev},
     )
     assert verify_transaction(tx, reg)
-    # sections sorted by identifier
-    assert tx.peer_list == ("peerA", "peerB")
+    # sections sorted by identifier; the credibilities name no peer
     assert tx.host_list == ("10.0.0.1", "10.0.0.2")
     assert tx.cred_list == (0.6, 0.8)
     assert tx.evidence_list[0] == ev
@@ -86,7 +86,6 @@ def test_transaction_out_of_range_score_rejected(registry_and_keys):
         tx_id=good.tx_id,
         ids_id=good.ids_id,
         seq=good.seq,
-        peer_list=good.peer_list,
         cred_list=good.cred_list,
         host_list=good.host_list,
         trust_list=(1.5,),
@@ -141,7 +140,6 @@ _TRANSACTION_CHANGES = {
     "tx_id": _flip_bit,
     "ids_id": _change_char,
     "seq": _change_count,
-    "peer_list": _change_entry(_change_char),
     "cred_list": _change_entry(_flip_real_bit),
     "host_list": _change_entry(_change_char),
     "trust_list": _change_entry(_flip_real_bit),
@@ -311,24 +309,35 @@ def test_latest_entry_wins(registry_and_keys):
     chain = chain.extended(
         _block_on(chain, k, 2, [build_transaction(k, 2, {"p": 0.2}, {"h": 0.8})]), 0.0
     )
-    assert chain.latest_tx[k.node_id].peer_creds() == {"p": 0.2}
+    assert chain.latest_tx[k.node_id].cred_list == (0.2,)
     assert chain.latest_tx[k.node_id].host_trusts() == {"h": 0.8}
     assert chain.last_led_round[k.node_id] == 2
     assert replay_check(chain)
 
 
-def test_chain_state_credibility_excludes_target_and_self(registry_and_keys):
-    _, keys = registry_and_keys
-    a, b = keys[0], keys[1]
+def test_average_credibility_reads_each_other_members_last_committed_score(
+    registry_and_keys,
+):
+    """A member's average credibility counts itself at 1 and each other
+    member at its last committed credibility of it, or at the newcomer
+    value: the target's own scores of others never count."""
+    reg, keys = registry_and_keys
+    a, b, c = keys
+    ids = [k.node_id for k in keys]
+    ctx = ValidationContext(
+        ConsensusParams(d_cred=1.0, d_stake=0.05, r_bits=16, q_max=4096, t_cap=16),
+        reg, 0.5, lambda rnd: ids,
+    )
     chain = Chain.genesis()
-    chain = chain.extended(
-        _block_on(chain, a, 1, [build_transaction(a, 1, {b.node_id: 0.7}, {"h": 0.5})]), 0.0
-    )
-    chain = chain.extended(
-        _block_on(chain, b, 2, [build_transaction(b, 2, {a.node_id: 0.6}, {"h": 0.5})]), 0.0
-    )
-    assert chain.chain_state_credibility(b.node_id) == {a.node_id: 0.7}
-    assert chain.chain_state_credibility(a.node_id) == {b.node_id: 0.6}
+    for rnd, (key, creds) in enumerate(
+        [(a, {b.node_id: 0.7, c.node_id: 0.1}), (b, {a.node_id: 0.6, c.node_id: 0.2})],
+        start=1,
+    ):
+        tx = build_transaction(key, rnd, creds, {"h": 0.5})
+        chain = chain.extended(_block_on(chain, key, rnd, [tx]), 0.0)
+    assert chain_average_credibility(chain, b.node_id, ids, ctx) == (1.0 + 0.7 + 0.5) / 3
+    assert chain_average_credibility(chain, a.node_id, ids, ctx) == (1.0 + 0.6 + 0.5) / 3
+    assert chain_average_credibility(chain, c.node_id, ids, ctx) == (1.0 + 0.1 + 0.2) / 3
 
 
 def test_a_chain_scores_its_blocks_weights_and_links_to_its_ancestors(registry_and_keys):

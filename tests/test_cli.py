@@ -14,11 +14,13 @@ from scipy.stats import spearmanr
 
 from cidnsim.chain import (
     Chain,
+    block_to_dict,
     build_transaction,
     export_chain,
     genesis_block,
     hash_block,
     import_chain,
+    make_block,
 )
 from cidnsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from cidnsim.config import config_from_dict, load_config
@@ -175,25 +177,17 @@ def test_verify_rejects_tampered_export(tiny_config, tmp_path):
     assert rc == EXIT_VERIFY
 
 
-def block_line(header=(), tx=(), **fields):
-    """An export line of a block on genesis, well formed apart from the
-    fields given."""
-    evidence = {"host": "h", "alert_digests": [], "normal_count": 1, "packet_count": 1}
-    transaction = {
-        "tx_id": "00" * 32, "ids_id": "n", "seq": 1, "peer_list": [], "cred_list": [],
-        "host_list": ["h"], "trust_list": [0.5], "evidence_list": [evidence],
-        "signature": "", **dict(tx),
-    }
-    record = {
-        "header": {
-            "block_id": "00" * 32, "leader_id": "n", "gen_time": 1,
-            "prev_hash": hash_block(genesis_block()).hex(), "ctr": 1, "target_v": 0.5,
-            **dict(header),
-        },
-        "transactions": [transaction],
-        "leader_signature": "",
-        **fields,
-    }
+def block_line(header=(), tx=(), evidence=(), **fields):
+    """The export line of a signed block on genesis, carrying one signed
+    transaction with one evidence entry, with the fields given set in the
+    header, the transaction, the evidence entry or the line itself."""
+    key = KeyPair.from_seed(hashlib.sha256(b"block-line").digest())
+    signed = build_transaction(key, 0, {}, {"h": 0.5})
+    record = block_to_dict(make_block(key, 1, hash_block(genesis_block()), 1, 0.5, [signed]))
+    record["header"].update(header)
+    record["transactions"][0]["evidence_list"][0].update(evidence)
+    record["transactions"][0].update(tx)
+    record.update(fields)
     return json.dumps(record)
 
 
@@ -211,6 +205,12 @@ def block_line(header=(), tx=(), **fields):
      pytest.param(block_line(tx={"seq": 2**63}), id="seq-beyond-64-bits"),
      pytest.param(block_line(tx={"seq": "1"}), id="seq-string"),
      pytest.param('{"type": "registry", "keys": {"n": 5}}', id="registry-key-number"),
+     # a key that the export does not write, and so no signature covers
+     pytest.param('{"type": "registry", "keys": {}, "note": 1}', id="registry-unknown-key"),
+     pytest.param(block_line(note=1), id="block-unknown-key"),
+     pytest.param(block_line(header={"note": 1}), id="header-unknown-key"),
+     pytest.param(block_line(tx={"peer_list": []}), id="transaction-peer_list"),
+     pytest.param(block_line(evidence={"note": 1}), id="evidence-unknown-key"),
      pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deeply")],
 )
 def test_verify_rejects_a_malformed_line_with_exit_3(tiny_config, tmp_path, capsys, line):
@@ -245,13 +245,18 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     outsider = KeyPair.from_seed(hashlib.sha256(b"outsider").digest())
     registry.register(outsider.public_bytes)
     _, configured = membership(load_config(str(config)))
+    gen_time = chain.tip.header.gen_time + 1
+    # the outsider joins in the round before its block, after every
+    # transaction of the honest export was built
     widened = ValidationContext(
         configured.params, registry, configured.initial_trust,
-        lambda rnd: sorted(registry.as_dict()),
+        lambda rnd: configured.members_at(rnd) + [outsider.node_id] * (rnd >= gen_time - 1),
     )
-    gen_time = chain.tip.header.gen_time + 1
+    scores = _scores(widened, outsider, gen_time - 1)
     for salt in range(200):
-        tx = build_transaction(outsider, gen_time - 1, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
+        tx = build_transaction(
+            outsider, gen_time - 1, scores, {"10.0.0.1": 0.99 - salt * 1e-9}
+        )
         forged, _ = propose(chain, outsider, gen_time, [tx], widened)
         if forged is not None:
             break
@@ -265,32 +270,90 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     assert "registry differs from the configured membership" in capsys.readouterr().out
 
 
+def _scores(ctx, key, seq, cred=0.5):
+    """A credibility of every member at ``seq`` other than ``key``'s node:
+    what a valid transaction of ``key`` built in round ``seq`` carries."""
+    return {m: cred for m in ctx.members_at(seq) if m != key.node_id}
+
+
+def _late_joiner_config(path, d, spawn_round):
+    """The keys and validation context of the tiny config with a fifth node,
+    a sybil that joins at ``spawn_round``, written to ``path``."""
+    d["nodes"].append({"behavior": {"kind": "sybil", "spawn_round": spawn_round}})
+    path.write_text(json.dumps(d))
+    return membership(load_config(str(path)))
+
+
+def _verify_block_on_genesis(block, ctx, config, tmp_path, capsys):
+    """The exit code and output of ``verify`` of the export of genesis and
+    ``block``."""
+    chain_path = tmp_path / "chain.jsonl"
+    export_chain(Chain.genesis().extended(block, 0.0), ctx.registry, str(chain_path))
+    capsys.readouterr()
+    rc = main(["verify", "--chain", str(chain_path), "--config", str(config)])
+    return rc, capsys.readouterr().out
+
+
+def _forge_on_genesis(ctx, leader, gen_time, own_seq, others=()):
+    """A block of ``leader`` on genesis at ``gen_time`` that carries
+    ``others`` and the leader's own transaction of ``own_seq``, which scores
+    every other member then; its host trusts are nudged until the leader
+    wins the lottery."""
+    for salt in range(200):
+        own = build_transaction(
+            leader, own_seq, _scores(ctx, leader, own_seq), {"10.0.0.1": 0.99 - salt * 1e-9}
+        )
+        block, _ = propose(Chain.genesis(), leader, gen_time, [own, *others], ctx)
+        if block is not None:
+            return block
+    raise AssertionError("setup: the leader never won the lottery")
+
+
+@pytest.mark.parametrize("case,reason", [
+    ("one-per-other-member", Reason.OK),
+    ("one-too-few", Reason.TX_INVALID),
+    ("one-too-many", Reason.TX_INVALID),
+    ("signer-not-a-member-at-its-seq", Reason.TX_INVALID),
+])
+def test_a_transaction_scores_each_other_member_at_its_seq(
+    tiny_config, tmp_path, capsys, case, reason
+):
+    """A transaction names no peer: it holds one credibility per member at
+    its seq other than its signer, and its signer is a member at its seq.
+    A block of round 3 carries, beside its leader's own, a transaction of
+    another node; a fifth node joins at round 2."""
+    path, d = tiny_config
+    (leader, other, *_, late), ctx = _late_joiner_config(path, d, spawn_round=2)
+    full = _scores(ctx, other, 2)
+    signer, seq, scores = {
+        "one-per-other-member": (other, 2, full),
+        "one-too-few": (other, 2, dict(list(full.items())[1:])),
+        "one-too-many": (other, 1, full),
+        "signer-not-a-member-at-its-seq": (late, 1, _scores(ctx, late, 1)),
+    }[case]
+    tx = build_transaction(signer, seq, scores, {"10.0.0.1": 0.4})
+    assert len(tx.cred_list) == len(scores)
+    block = _forge_on_genesis(ctx, leader, 3, 2, [tx])
+    assert validate_block(block, Chain.genesis(), ctx)[:2] == (reason == Reason.OK, reason)
+    rc, out = _verify_block_on_genesis(block, ctx, path, tmp_path, capsys)
+    if reason == Reason.OK:
+        assert rc == EXIT_OK
+    else:
+        assert rc == EXIT_VERIFY and '"reason": "tx-invalid"' in out
+
+
 def test_verify_rejects_a_transaction_signed_before_its_signer_joined(
     tiny_config, tmp_path, capsys
 ):
     """A member leads a block, valid in every other respect, that carries a
     transaction of a configured node before that node's spawn round."""
     path, d = tiny_config
-    d["nodes"].append({"behavior": {"kind": "sybil", "spawn_round": 10}})
-    path.write_text(json.dumps(d))
-    keys_, ctx = membership(load_config(str(path)))
-    leader, late = keys_[0], keys_[-1]
+    (leader, *_, late), ctx = _late_joiner_config(path, d, spawn_round=10)
     assert late.node_id not in ctx.members_at(1)
-    chain = Chain.genesis()
-    early = build_transaction(late, 0, {}, {"10.0.0.1": 0.1})
-    for salt in range(200):
-        own = build_transaction(leader, 0, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
-        forged, _ = propose(chain, leader, 1, [own, early], ctx)
-        if forged is not None:
-            break
-    else:
-        raise AssertionError("setup: the leader never won the lottery")
-
-    chain_path = tmp_path / "chain.jsonl"
-    export_chain(chain.extended(forged, 0.0), ctx.registry, str(chain_path))
-    capsys.readouterr()
-    assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
-    assert '"reason": "tx-invalid"' in capsys.readouterr().out
+    early = build_transaction(late, 0, _scores(ctx, late, 0), {"10.0.0.1": 0.1})
+    forged = _forge_on_genesis(ctx, leader, 1, 0, [early])
+    rc, out = _verify_block_on_genesis(forged, ctx, path, tmp_path, capsys)
+    assert rc == EXIT_VERIFY and '"reason": "tx-invalid"' in out
 
 
 def test_verify_rejects_a_transaction_built_after_its_block(tiny_config, tmp_path, capsys):
@@ -299,21 +362,9 @@ def test_verify_rejects_a_transaction_built_after_its_block(tiny_config, tmp_pat
     round it was built in, so it must precede the block's round."""
     path, _ = tiny_config
     keys_, ctx = membership(load_config(str(path)))
-    leader = keys_[0]
-    chain = Chain.genesis()
-    for salt in range(200):
-        own = build_transaction(leader, 2**61, {}, {"10.0.0.1": 0.99 - salt * 1e-9})
-        forged, _ = propose(chain, leader, 1, [own], ctx)
-        if forged is not None:
-            break
-    else:
-        raise AssertionError("setup: the leader never won the lottery")
-
-    chain_path = tmp_path / "chain.jsonl"
-    export_chain(chain.extended(forged, 0.0), ctx.registry, str(chain_path))
-    capsys.readouterr()
-    assert main(["verify", "--chain", str(chain_path), "--config", str(path)]) == EXIT_VERIFY
-    assert '"reason": "tx-invalid"' in capsys.readouterr().out
+    forged = _forge_on_genesis(ctx, keys_[0], 1, 2**61)
+    rc, out = _verify_block_on_genesis(forged, ctx, path, tmp_path, capsys)
+    assert rc == EXIT_VERIFY and '"reason": "tx-invalid"' in out
 
 
 def test_verify_rejects_an_export_that_replays_a_transaction(tiny_config, tmp_path, capsys):
@@ -488,33 +539,33 @@ def test_a_run_with_subnormal_detector_rates_exits_0(tmp_path):
 # it updates them.
 GOLDEN_DIGESTS = {
     "baseline_honest": (
-        "1d6e20242b56c1eb674d623f77de236c55fbc53e4dadc37471bbe79e95ae88ff",
-        "6b395f7f0d95f158f35c5850ffc4cb9c794b459b3c15751c691a53f4abaf1aab",
+        "162f6ee0d10c956cc290c32da098d715144575c29fb43bd19b1231d6c104ab07",
+        "f1bef6fc93743bb167c9721613afab2218089b99c3114844c79f81075489b888",
     ),
     "collusion": (
-        "89a06e121376c3b535f85e5233bb52dd69d3ea565cfa2c6ea0fc9a4798370506",
-        "35738d8a60371fe8bfbbc2a9f8fb9a8ed78ca5f379f20eb122a883741f650315",
+        "e5997d1a0b3d9a80b59d49241a045e4486a8510c9a7077dfd645003497623c6c",
+        "85bb8979e015ee4806a46a69b33c01bf0c87bf1bcd89a8c220a2730fd6062b66",
     ),
     "sybil": (
-        "8295d2a0616c631e9161ae9dcd8f66fd118a648dc5114c362d444d55e83651d3",
-        "860729084bf41339691bbaa26001124f2935206df27cd29474d0828cd6387c3b",
+        "6de8abc2aecf7ef9e449acd5b024871b78e26a2df8d6793b0e02547149e50692",
+        "b3dd012aa45f4ecb24f25fbf2d613cee2cb6cc49d7c326efadb396515ac94931",
     ),
     "betrayal": (
-        "4d8a4e1571652983eca72e9a4a917ab723f76c217f7272cdab568628e2cc7109",
-        "e035ba3da89b534649df6723808ab5cca59c75f170a90989dbc4266f220c05a4",
+        "a138090761045191be1d633c855952bbe4545fd85f33d5e4ecfb4148ee763079",
+        "88c1df09913b5390996bbe8cf62e1455f7c5f46edd6a3098ad355e61a1e99a5d",
     ),
     "hard_lottery": (
-        "a395c933714ca3299c16fe764ea8089af3e50749ce6d8642c0ac592c0ad64a77",
-        "9e0b1d1d023880e9997f40e20831ac424495100ff1c864f20d7172eddddb5073",
+        "3954de20b1fa890fc71c599c472b61cac71c533616edf9296ff9a25ada45626e",
+        "5a3006736b27275631e3eb3fd24a18403d25790c41d6ee1a5c676587932a6e56",
     ),
     "late_spawn": (
-        "198ec64fd633b04e7c4ab9b0168b5cf0761d1075d4a28b2451d67680311969d4",
-        "aaa6d7785b1543b3f5be50e1662081948aad1b1354cbc84fc9295f2f81959190",
+        "50abdfce300a7c0c2e5c7d361bf3f9c3a84cf338d637a16257abf4422a15443c",
+        "f94e79c93b7e970605563c3396e2bae7a9930a5a6b426bfe0bd7f4bb5320259c",
     ),
 }
 
-# A hard lottery on a lossy, delayed network: 30 of its 33 mine calls exhaust
-# q_max and 3 blocks are found, so the export pins the exhaustion path, a block
+# A hard lottery on a lossy, delayed network: 30 of its 31 mine calls exhaust
+# q_max and 1 block is found, so the export pins the exhaustion path, a block
 # delivered a round late, and the monitoring and credibility columns of
 # metrics.csv.
 HARD_LOTTERY = {
@@ -595,6 +646,27 @@ def test_late_spawn_reference_replica_switches_branches_by_score():
         return new is old
 
     assert sum(not extends(new, old) for old, new in zip(tips, tips[1:])) >= 1
+
+
+@pytest.mark.parametrize(
+    "name", ["baseline_honest", "collusion", "sybil", "betrayal", "late_spawn"]
+)
+def test_every_exported_transaction_scores_each_other_member_at_its_seq(name, tmp_path):
+    """Each transaction of a bundled scenario's export, and of the late-spawn
+    run whose membership grows twice, holds exactly one credibility per
+    member at its seq other than its signer, which is a member then."""
+    config = SCENARIOS / f"{name}.json"
+    if name == "late_spawn":
+        config = tmp_path / "late_spawn.json"
+        config.write_text(json.dumps(late_spawn_config()))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    _, ctx = membership(load_config(str(config)))
+    txs = [tx for b in import_chain(str(out / "chain.jsonl"))[0] for tx in b.transactions]
+    assert txs
+    for tx in txs:
+        members = ctx.members_at(tx.seq)
+        assert tx.ids_id in members and len(tx.cred_list) == len(members) - 1
 
 
 @pytest.mark.parametrize(

@@ -266,13 +266,20 @@ def _simple_context(keys):
     )
 
 
+def _scores(ctx, key, seq, cred=0.5):
+    """A credibility of every member at ``seq`` other than ``key``'s node:
+    what a valid transaction of ``key`` built in round ``seq`` carries."""
+    return {m: cred for m in ctx.members_at(seq) if m != key.node_id}
+
+
 def _salted_block(key, ctx, chain, trusts, gen_time=1):
     # the eligibility lottery is a deterministic hash draw, so nudge the
     # payload until this leader qualifies; the transaction was built in the
     # round before the block
     for salt in range(200):
         tx = build_transaction(
-            key, gen_time - 1, {}, {h: t - salt * 1e-9 for h, t in trusts.items()}
+            key, gen_time - 1, _scores(ctx, key, gen_time - 1),
+            {h: t - salt * 1e-9 for h, t in trusts.items()},
         )
         block, _ = propose(chain, key, gen_time, [tx], ctx)
         if block is not None:
@@ -345,9 +352,7 @@ def test_every_proposed_block_validates_on_its_parent(
     ok, reason, weight = validate_block(block, chain, ctx)
     assert (ok, reason) == (True, Reason.OK)
     stake = compute_stake(leader_trust_values(chain, leader.node_id, block.transactions))
-    avg = chain_average_credibility(
-        chain, leader.node_id, ctx.members_at(gen_time), ctx.initial_trust
-    )
+    avg = chain_average_credibility(chain, leader.node_id, ctx.members_at(gen_time), ctx)
     assert weight == stake * avg > 0.0
 
 
@@ -357,9 +362,7 @@ def test_a_leader_with_zero_stake_proposes_nothing_and_mines_nothing(monkeypatch
     leader, other = key_of("zero-stake-leader"), key_of("zero-stake-other")
     ctx = _simple_context([leader, other])
     chain = Chain.genesis()
-    avg = chain_average_credibility(
-        chain, leader.node_id, ctx.members_at(1), ctx.initial_trust
-    )
+    avg = chain_average_credibility(chain, leader.node_id, ctx.members_at(1), ctx)
     for salt in range(200):
         tx = build_transaction(leader, 1, {other.node_id: 0.5 - salt * 1e-9}, {})
         payload = transaction_root([tx])
@@ -396,19 +399,24 @@ def test_a_transaction_signed_outside_the_membership_is_invalid():
     that carries a transaction signed by a registered key that has not yet
     joined is rejected, so those lists never reach chain state."""
     key, newcomer = key_of("consensus-leader"), key_of("consensus-newcomer")
-    ctx = _simple_context([key, newcomer])
+
+    def joining_at(joins):
+        ctx = _simple_context([key, newcomer])
+        ctx.members_at = lambda rnd: [key.node_id] + [newcomer.node_id] * (rnd >= joins)
+        return ctx
+
+    joined, not_yet = joining_at(1), joining_at(3)
     chain = Chain.genesis()
-    early = build_transaction(newcomer, 0, {}, {"h0": 0.2})
+    early = build_transaction(newcomer, 1, {key.node_id: 0.5}, {"h0": 0.2})
     for salt in range(200):
         own = build_transaction(key, 0, {}, {"h0": 0.99 - salt * 1e-9})
-        block, _ = propose(chain, key, 1, [own, early], ctx)
+        block, _ = propose(chain, key, 2, [own, early], joined)
         if block is not None:
             break
     else:
         raise AssertionError("setup: no qualifying payload found")
-    assert validate_block(block, chain, ctx)[:2] == (True, Reason.OK)
-    ctx.members_at = _simple_context([key]).members_at
-    assert validate_block(block, chain, ctx) == (False, Reason.TX_INVALID, 0.0)
+    assert validate_block(block, chain, joined)[:2] == (True, Reason.OK)
+    assert validate_block(block, chain, not_yet) == (False, Reason.TX_INVALID, 0.0)
 
 
 def test_a_transaction_replayed_on_the_honest_tip_is_invalid(monkeypatch):
@@ -540,5 +548,5 @@ def test_chain_average_credibility_fills_unreported_members():
     key = key_of("avg-target")
     ctx = _simple_context([key])
     # nobody has reported: every other member counts at the newcomer value
-    avg = chain_average_credibility(Chain.genesis(), "x", ["x", "y", "z"], 0.5)
+    avg = chain_average_credibility(Chain.genesis(), "x", ["x", "y", "z"], ctx)
     assert avg == pytest.approx((1.0 + 0.5 + 0.5) / 3.0)

@@ -435,9 +435,7 @@ def test_replica_tip_matches_fork_choice_oracle():
             leader = b.header.leader_id
             stake = compute_stake(leader_trust_values(parent, leader, b.transactions))
             members = vctx.members_at(b.header.gen_time)
-            total += stake * chain_average_credibility(
-                parent, leader, members, vctx.initial_trust
-            )
+            total += stake * chain_average_credibility(parent, leader, members, vctx)
             parent = parent.extended(b, 0.0)
         return total
 
