@@ -31,7 +31,7 @@ from .consensus import (
 )
 from .encoding import enc_int, sha256
 from .keys import KeyPair, KeyRegistry
-from .netsim import derived_rng
+from .netsim import keyed_draws
 from .node import BlockStore
 
 __all__ = [
@@ -98,12 +98,13 @@ def leader_election_trial(
     Each node gets a fixed stake (drawn from a spread of trust-score
     sharpness) and a fixed average credibility; elapsed time evolves with
     the adopted leader sequence.  Counts every block a node manages to
-    produce (forks included).
+    produce (forks included).  Node i's profile is the draw keyed by i, so
+    adding a node changes no other node's profile.
     """
-    rng = derived_rng(seed, "election-trial")
     ids = [f"node{i:03d}" for i in range(n_nodes)]
-    stakes = [0.2 + 4.8 * rng.random() for _ in range(n_nodes)]
-    avg_creds = [0.5 + 0.45 * rng.random() for _ in range(n_nodes)]
+    draws = [keyed_draws(seed, "election-trial", i) for i in range(n_nodes)]
+    stakes = [0.2 + 4.8 * u[0] for u in draws]
+    avg_creds = [0.5 + 0.45 * u[1] for u in draws]
 
     blocks = [0] * n_nodes
     last_led = [0] * n_nodes
@@ -167,13 +168,13 @@ def fork_contest(
 
     Honest members publish sharp trust scores (high stake) and receive high
     credibility; coalition members publish scores near 1/2 (low stake) and
-    collude on mutual top ratings.  Returns None when no bootstrap leader
-    passed the eligibility lottery for this seed.
+    collude on mutual top ratings.  Each published value is the draw keyed
+    by its member and the peer or host it scores.  Returns None when no
+    bootstrap leader passed the eligibility lottery for this seed.
     """
     params = params or ConsensusParams(
         d_cred=1.0, d_stake=0.05, r_bits=16, q_max=4096, t_cap=16
     )
-    rng = derived_rng(seed, "fork-contest")
     n_total = n_honest + n_coalition
     keys = [
         KeyPair.from_seed(sha256(f"fork:{seed}:{i}".encode()))
@@ -190,7 +191,7 @@ def fork_contest(
         params=params,
         registry=registry,
         initial_trust=0.5,
-        members_at=lambda rnd: list(ids),
+        members_at=lambda rnd: ids,
     )
 
     # bootstrap transactions, built before the first round: every member's
@@ -202,15 +203,15 @@ def fork_contest(
             if other == k.node_id:
                 continue
             if ids[i] in honest:
-                peers[other] = (
-                    0.85 + 0.1 * rng.random() if other in honest else 0.45 + 0.1 * rng.random()
-                )
+                u = keyed_draws(seed, "fork-contest-cred", i, j)[0]
+                peers[other] = 0.85 + 0.1 * u if other in honest else 0.45 + 0.1 * u
             else:
                 peers[other] = 1.0 if other not in honest else 0.1
-        if ids[i] in honest:
-            trusts = {h: 0.9 + 0.08 * rng.random() for h in hosts}
-        else:
-            trusts = {h: 0.48 + 0.04 * rng.random() for h in hosts}
+        low, width = (0.9, 0.08) if ids[i] in honest else (0.48, 0.04)
+        trusts = {
+            h: low + width * keyed_draws(seed, "fork-contest-trust", i, n)[0]
+            for n, h in enumerate(hosts)
+        }
         txs.append(build_transaction(k, 0, peers, trusts))
 
     store = BlockStore()

@@ -15,7 +15,6 @@ and every receiver is handed that same object.
 from __future__ import annotations
 
 import math
-import random
 import struct
 from typing import Any, NamedTuple
 
@@ -28,7 +27,6 @@ __all__ = [
     "KIND_RESPONSE",
     "Message",
     "Network",
-    "derived_rng",
     "host_traffic",
     "keyed_draws",
 ]
@@ -42,16 +40,10 @@ _WORDS = struct.Struct(">4Q")
 _ULP = 2.0**-53
 
 
-def derived_rng(seed: int, *tags: object) -> random.Random:
-    """Independent stream keyed by the run seed plus arbitrary tags."""
-    material = repr((seed,) + tags).encode()
-    return random.Random(int.from_bytes(sha256(material)[:8], "big"))
-
-
 def keyed_draws(seed: int, *tags: object) -> tuple[float, float, float, float]:
-    """Four uniforms in [0, 1), a pure function of the key that
-    ``derived_rng`` hashes: the high 53 bits of each 64-bit word of its
-    SHA-256.  A counter-based generator (Salmon et al., SC 2011): no state,
+    """Four uniforms in [0, 1), a pure function of the key (``seed``, *tags):
+    the high 53 bits of each 64-bit word of the SHA-256 of the key's
+    ``repr``.  A counter-based generator (Salmon et al., SC 2011): no state,
     and no other draw can shift it."""
     a, b, c, d = _WORDS.unpack(sha256(repr((seed,) + tags).encode()))
     return (a >> 11) * _ULP, (b >> 11) * _ULP, (c >> 11) * _ULP, (d >> 11) * _ULP

@@ -191,7 +191,10 @@ class Node:
         self.replica: Chain = genesis
 
         self.pending_txs: dict[str, Transaction] = {}
-        self.outstanding: dict[tuple[str, int], float] = {}
+        # round -> the {peer: priority} its challenge message carried, shared
+        # with that message and so never edited; nothing is removed once
+        # evaluated, since a challenge is delivered once and answered once
+        self.outstanding: dict[int, dict[str, float]] = {}
         self.last_published: tuple | None = None
 
         self.invalid_reasons: Counter[str] = Counter()  # reason code -> blocks dropped
@@ -212,7 +215,7 @@ class Node:
     def _sync_peers(self, rnd: int) -> tuple[str, ...]:
         """The members at ``rnd``, after giving each peer not met before a
         fresh trust state."""
-        members = tuple(self.ctx.validation_context.members_at(rnd))
+        members = self.ctx.validation_context.members_at(rnd)
         for peer in members:
             if peer != self.node_id and peer not in self.peer_trust:
                 self.peer_trust[peer] = PeerTrustState.fresh(self.ctx.trust_params)
@@ -397,7 +400,7 @@ class Node:
         return priority if u < self.know_prob else UNSURE
 
     def _evaluate_response(self, peer: str, sent_round: int, answer: float | Any) -> None:
-        expected = self.outstanding.pop((peer, sent_round), None)
+        expected = self.outstanding.get(sent_round, {}).get(peer)
         if expected is None:
             return
         p = self.ctx.trust_params
@@ -416,20 +419,12 @@ class Node:
         sent in round r is evaluated by round r + 2 max(delay_rounds, 1); a
         response that was dropped never comes."""
         horizon = rnd - 2 * max(self.ctx.network.delay_rounds, 1)
-        # challenges are held in the order they were issued, so the first is
-        # the oldest
-        oldest = next(iter(self.outstanding), None)
-        if oldest is None or oldest[1] > horizon:
-            return
-        self.outstanding = {
-            key: priority for key, priority in self.outstanding.items()
-            if key[1] > horizon
-        }
+        self.outstanding = {r: held for r, held in self.outstanding.items() if r > horizon}
 
     def _issue_challenges(self, members: Sequence[str], rnd: int) -> dict[str, float]:
-        """Challenge the peers this round's draws pick; returns each
-        challenged peer's priority.  The decision and the priority come from
-        the one draw keyed (this node, peer, ``rnd``)."""
+        """Challenge the peers this round's draws pick; returns, and holds as
+        this round's challenges, each challenged peer's priority.  The decision
+        and the priority come from the one draw keyed (this node, peer, ``rnd``)."""
         net = self.ctx.network
         seed, index_of = self.ctx.seed, self.ctx.index_of
         priorities = {}
@@ -442,8 +437,9 @@ class Node:
             priority = u if net.challenge_priorities == "uniform" else (
                 0.0 if u < 0.5 else 1.0
             )
-            self.outstanding[(peer, rnd)] = priority
             priorities[peer] = priority
+        if priorities:
+            self.outstanding[rnd] = priorities
         return priorities
 
     # -- (5) transaction --------------------------------------------------
@@ -485,10 +481,12 @@ class Node:
 
     def _maybe_build_transaction(self, rnd: int) -> Transaction | None:
         creds, trusts = self.distorted_lists(rnd)
-        fingerprint = (tuple(sorted(creds.items())), tuple(sorted(trusts.items())))
-        if fingerprint == self.last_published:
+        # both maps only grow by appending keys (members never leave, and a
+        # node's hosts are fixed), so equal values mean equal lists
+        published = (tuple(creds.values()), tuple(trusts.values()))
+        if published == self.last_published:
             return None
-        self.last_published = fingerprint
+        self.last_published = published
         evidence = {ip: ev for ip, ev in self.evidence.items() if ip in trusts}
         return build_transaction(self.key, rnd, creds, trusts, evidence)
 

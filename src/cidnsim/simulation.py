@@ -9,6 +9,7 @@ round).
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 from .chain import Chain
@@ -42,16 +43,21 @@ def key_for(rng_seed: int, index: int) -> KeyPair:
 def membership(config: SimConfig) -> tuple[list[KeyPair], ValidationContext]:
     """The membership a config defines: one key per node, and the run's
     validation inputs, whose registry holds those keys and whose members at
-    a round are the nodes spawned by then."""
+    a round are the nodes spawned by then, in node order.  One members tuple
+    is built per distinct spawn round and shared by every round up to the
+    next, so never edit it."""
     keys = [key_for(config.rng_seed, i) for i in range(len(config.nodes))]
     registry = KeyRegistry()
     for k in keys:
         registry.register(k.public_bytes)
-    ids = [k.node_id for k in keys]
     spawn = [spec.behavior.spawn_round for spec in config.nodes]
+    starts = sorted(set(spawn))
+    members = [()] + [
+        tuple(k.node_id for k, s in zip(keys, spawn) if s <= start) for start in starts
+    ]
 
-    def members_at(rnd: int) -> list[str]:
-        return [ids[i] for i in range(len(ids)) if spawn[i] <= rnd]
+    def members_at(rnd: int) -> tuple[str, ...]:
+        return members[bisect_right(starts, rnd)]
 
     return keys, ValidationContext(
         params=config.consensus,
@@ -178,7 +184,7 @@ class Simulation:
         )
 
     def _accumulate_election_scores(
-        self, rnd: int, members: list[str], sums: dict[str, float]
+        self, rnd: int, members: tuple[str, ...], sums: dict[str, float]
     ) -> None:
         """Stake x average-credibility x elapsed-time factor of each member,
         from the view of the reference replica; feeds the fairness statistic
@@ -230,7 +236,7 @@ class Simulation:
             **{f"mean_cred_{k}": v for k, v in sorted(mean_cred.items())},
         }
 
-    def _snapshot(self, rnd: int, members: list[str]) -> dict:
+    def _snapshot(self, rnd: int, members: tuple[str, ...]) -> dict:
         nodes = [self.nodes[self.ctx.index_of[node_id]] for node_id in members]
         return {
             "round": rnd,

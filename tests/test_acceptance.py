@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +35,6 @@ from cidnsim.consensus import (
 )
 from cidnsim.experiments import fork_contest, leader_election_trial
 from cidnsim.keys import KeyPair, KeyRegistry
-from cidnsim.netsim import derived_rng
 from cidnsim.simulation import Simulation
 from cidnsim.trust import (
     HostTrustState,
@@ -60,6 +60,13 @@ BASE_TRUST = TrustParams(
 )
 
 
+def _seeded_rng(seed: int, *tags: object) -> random.Random:
+    """A stream seeded by the first 64-bit word of the SHA-256 of the key's
+    ``repr``."""
+    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
+
+
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'} — {detail}")
@@ -83,7 +90,7 @@ def test_criterion_01_equation_exactness(capsys):
     ok_frac = worst_frac <= 1e-12
 
     # one long mixed schedule of answered / Unsure / traffic events
-    rng = derived_rng(2024, "ewma-schedule")
+    rng = _seeded_rng(2024, "ewma-schedule")
     p = BASE_TRUST
     lam = p.forgetting
     peer = PeerTrustState.fresh(p)
@@ -144,7 +151,7 @@ def test_criterion_02_unsure_fixed_point(capsys):
 def test_criterion_03_weight_normalization(capsys):
     """Weight maps sum to 1 within 1e-12 over 1e5 random credibility
     vectors, including vectors entirely below the threshold."""
-    rng = derived_rng(2024, "weight-vectors")
+    rng = _seeded_rng(2024, "weight-vectors")
     worst = 0.0
     for i in range(100_000):
         size = 1 + rng.randrange(12)

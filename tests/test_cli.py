@@ -250,7 +250,7 @@ def test_verify_rejects_a_block_by_a_key_outside_the_configured_membership(
     # transaction of the honest export was built
     widened = ValidationContext(
         configured.params, registry, configured.initial_trust,
-        lambda rnd: configured.members_at(rnd) + [outsider.node_id] * (rnd >= gen_time - 1),
+        lambda rnd: list(configured.members_at(rnd)) + [outsider.node_id] * (rnd >= gen_time - 1),
     )
     scores = _scores(widened, outsider, gen_time - 1)
     for salt in range(200):

@@ -1,7 +1,6 @@
 """Deterministic message fabric and the traffic generator."""
 
 import hashlib
-import random
 from collections import Counter
 
 import pytest
@@ -16,7 +15,6 @@ from cidnsim.netsim import (
     KIND_RESPONSE,
     KIND_TRANSACTION,
     Network,
-    derived_rng,
     host_traffic,
     keyed_draws,
 )
@@ -211,19 +209,13 @@ def test_each_receiver_gets_what_a_per_copy_fabric_delivers(
             assert delivered == reference.step(*args)
 
 
-def test_derived_rng_streams_are_independent_and_reproducible():
-    a1 = [derived_rng(9, "x", 1).random() for _ in range(3)]
-    a2 = [derived_rng(9, "x", 1).random() for _ in range(3)]
-    b = [derived_rng(9, "x", 2).random() for _ in range(3)]
-    assert a1 == a2
-    assert a1 != b
-
-
-def test_keyed_draws_are_the_words_of_the_digest_derived_rng_seeds_from():
-    digest = hashlib.sha256(repr((9, "x", 1)).encode()).digest()
-    words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
-    assert keyed_draws(9, "x", 1) == tuple((w >> 11) / 2**53 for w in words)
-    assert derived_rng(9, "x", 1).random() == random.Random(words[0]).random()
+def test_keyed_draws_are_the_words_of_the_digest_of_the_key():
+    """A draw is reproducible (a pure function of its key) and keys that
+    differ in any tag draw independently."""
+    for key in [(9, "x", 1), (9, "x", 2), (10, "x", 1), (9, "y", 1)]:
+        digest = hashlib.sha256(repr(key).encode()).digest()
+        words = [int.from_bytes(digest[i:i + 8], "big") for i in range(0, 32, 8)]
+        assert keyed_draws(*key) == tuple((w >> 11) / 2**53 for w in words)
     assert keyed_draws(9, "x", 2) != keyed_draws(9, "x", 1)
 
 

@@ -43,7 +43,7 @@ from cidnsim.netsim import (
     keyed_draws,
 )
 from cidnsim.node import Behavior, Node, RuntimeContext
-from cidnsim.simulation import Simulation, key_for
+from cidnsim.simulation import Simulation, key_for, membership
 from cidnsim.trust import UNSURE, HostTrustState, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
 from oracles import last_seqs, replay_check
@@ -237,31 +237,65 @@ def test_colluder_lies_on_challenges():
 
 @pytest.mark.parametrize("delay", [0, 2])
 def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
-    """Under loss a node holds at most (2 max(d, 1) + 1) rounds of challenges
-    per peer, and every response that arrives still finds its challenge: one
-    sent in round r is answered by round r + 2 max(d, 1)."""
+    """Under loss a node holds at most (2 max(d, 1) + 1) rounds of challenges,
+    every response that arrives still finds its priority (one sent in round
+    r is answered by round r + 2 max(d, 1)), and no (challenger, peer, sent
+    round) is evaluated twice, although nothing is removed once evaluated."""
     config = small_config(
         rounds=60,
         network={"challenge_prob": 1.0, "drop_prob": 0.1, "delay_rounds": delay},
     )
     evaluate = Node._evaluate_response
     unmatched = []
+    evaluated = Counter()
 
     def checked(node, peer, sent_round, answer):
-        if (peer, sent_round) not in node.outstanding:
+        if peer not in node.outstanding.get(sent_round, {}):
             unmatched.append((node.node_id, peer, sent_round, answer))
+        evaluated[node.node_id, peer, sent_round] += 1
         evaluate(node, peer, sent_round, answer)
 
     monkeypatch.setattr(Node, "_evaluate_response", checked)
-    bound = (2 * max(delay, 1) + 1) * (len(config.nodes) - 1)
     held = []
 
     def check(sim, rnd):
         held.extend(len(n.outstanding) for n in sim.nodes)
 
     Simulation(config).run(round_hook=check)
-    assert max(held) <= bound
+    assert max(held) <= 2 * max(delay, 1) + 1
     assert unmatched == []
+    assert evaluated and max(evaluated.values()) == 1
+
+
+def test_a_node_holds_the_priorities_its_challenge_message_carried(monkeypatch):
+    """``outstanding[r]`` is the very dict the round-r challenge message
+    carried, and no one edits it after it is sent."""
+    config = small_config(
+        rounds=30,
+        network={"challenge_prob": 0.5, "drop_prob": 0.1, "delay_rounds": 1},
+    )
+    sent = {}
+    send = Network.send
+
+    def recorded(net, kind, sender, receivers, payload, rnd):
+        if kind == KIND_CHALLENGE:
+            sent_round, priorities = payload
+            assert sent_round == rnd
+            sent[sender, rnd] = (priorities, dict(priorities))
+        send(net, kind, sender, receivers, payload, rnd)
+
+    monkeypatch.setattr(Network, "send", recorded)
+    held = Counter()
+
+    def check(sim, rnd):
+        for n in sim.nodes:
+            for sent_round, priorities in n.outstanding.items():
+                assert priorities is sent[n.node_id, sent_round][0]
+                held[n.node_id] += 1
+        assert all(now == then for now, then in sent.values())
+
+    Simulation(config).run(round_hook=check)
+    assert len(held) == len(config.nodes)
 
 
 def test_a_round_sends_at_most_one_challenge_and_one_response_message_per_member(
@@ -382,6 +416,26 @@ def small_config(**overrides):
     }
     d.update(overrides)
     return config_from_dict(d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rounds=st.integers(1, 12),
+    spawns=st.lists(st.integers(0, 12), max_size=6),
+    honest_at=st.integers(0, 6),
+)
+def test_the_members_at_a_round_are_one_tuple_per_spawn_round(rounds, spawns, honest_at):
+    """``members_at(r)`` lists the nodes spawned by round r in node order,
+    and is one object for every round up to the next spawn round."""
+    nodes = [{"behavior": {"kind": "sybil", "spawn_round": min(s, rounds)}} for s in spawns]
+    nodes.insert(min(honest_at, len(nodes)), {"fp": 0.0, "fn": 0.0})
+    config = small_config(rounds=rounds, nodes=nodes, hosts=[{"p_mal": 0.0}])
+    keys, ctx = membership(config)
+    spawn = [spec.behavior.spawn_round for spec in config.nodes]
+    for rnd in range(-1, rounds + 2):
+        members = ctx.members_at(rnd)
+        assert list(members) == [k.node_id for k, s in zip(keys, spawn) if s <= rnd]
+        assert (ctx.members_at(rnd + 1) is members) == (rnd + 1 not in spawn)
 
 
 def test_single_node_network_still_commits_blocks():
