@@ -17,7 +17,7 @@ __all__ = ["ConfigError", "NetParams", "HostSpec", "NodeSpec", "SimConfig", "loa
 
 SCHEMA_VERSION = 1
 # the most nodes a config may define: each costs a key before a run or a
-# verify starts, and a round's work grows with the cube of the count
+# verify starts, and a round's work grows about with the square of the count
 MAX_NODES = 1000
 
 

@@ -130,7 +130,8 @@ class RuntimeContext:
     """
 
     __slots__ = ("seed", "trust_params", "validation_context", "index_of", "host_ids",
-                 "host_index", "host_pmal", "network", "collusion_groups", "block_store")
+                 "host_index", "host_pmal", "network", "collusion_groups", "block_store",
+                 "fresh_peer")
 
     def __init__(
         self, seed: int, trust_params: TrustParams, validation_context: ValidationContext,
@@ -149,6 +150,9 @@ class RuntimeContext:
         # node_id -> group id
         self.collusion_groups = {} if collusion_groups is None else collusion_groups
         self.block_store = BlockStore()
+        # the trust state of every peer not yet evaluated; immutable, so one
+        # object serves every (node, peer) pair
+        self.fresh_peer = PeerTrustState.fresh(trust_params)
 
 
 class Node:
@@ -192,8 +196,8 @@ class Node:
 
         self.pending_txs: dict[str, Transaction] = {}
         # round -> the {peer: priority} its challenge message carried, shared
-        # with that message and so never edited; nothing is removed once
-        # evaluated, since a challenge is delivered once and answered once
+        # with that message and so never edited; popped when that round's
+        # responses are due, whether or not any arrived
         self.outstanding: dict[int, dict[str, float]] = {}
         self.last_published: tuple | None = None
 
@@ -213,12 +217,14 @@ class Node:
         return {ip for ip, st in self.host_trust.items() if is_blacklisted(st, p)}
 
     def _sync_peers(self, rnd: int) -> tuple[str, ...]:
-        """The members at ``rnd``, after giving each peer not met before a
-        fresh trust state."""
+        """The members at ``rnd``, after giving each peer not met before the
+        shared fresh trust state.  Members never leave, so the members are
+        scanned only when they outnumber the peers met."""
         members = self.ctx.validation_context.members_at(rnd)
-        for peer in members:
-            if peer != self.node_id and peer not in self.peer_trust:
-                self.peer_trust[peer] = PeerTrustState.fresh(self.ctx.trust_params)
+        if len(self.peer_trust) < len(members) - 1:
+            for peer in members:
+                if peer != self.node_id:
+                    self.peer_trust.setdefault(peer, self.ctx.fresh_peer)
         return members
 
     # -- round loop -------------------------------------------------------
@@ -230,9 +236,11 @@ class Node:
 
         A transaction or a block goes to every member, this node included.
         A round sends at most one challenge message, whose payload is
-        (round, {challenged peer: priority}), and one response message,
-        whose payload is {challenger: (round challenged, answer)}; each
-        receiver reads its own entry."""
+        {challenged peer: priority}, and one response message, whose payload
+        is {challenger: answer}; each receiver reads its own entry.  Every
+        message arrives L = max(delay_rounds, 1) rounds after it is sent, so
+        the responses arriving in round r answer the challenges this node
+        sent in round r - 2L, which are popped then, answered or not."""
         members = self._sync_peers(rnd)
         out: list[tuple[str, tuple[str, ...], Any]] = []
 
@@ -261,20 +269,19 @@ class Node:
 
         # (4) challenges: answer, evaluate, issue
         me = self.node_id
-        answers = {}
-        for m in challenges:
-            sent_round, priorities = m.payload
-            answers[m.sender] = (
-                sent_round, self.answer_challenge(m.sender, priorities[me], rnd)
-            )
+        answers = {
+            m.sender: self.answer_challenge(m.sender, m.payload[me], rnd)
+            for m in challenges
+        }
         if answers:
             out.append((KIND_RESPONSE, tuple(answers), answers))
+        latency = max(self.ctx.network.delay_rounds, 1)
+        expected = self.outstanding.pop(rnd - 2 * latency, {})
         for m in responses:
-            self._evaluate_response(m.sender, *m.payload[me])
-        self._expire_challenges(rnd)
+            self._evaluate_response(m.sender, expected[m.sender], m.payload[me])
         priorities = self._issue_challenges(members, rnd)
         if priorities:
-            out.append((KIND_CHALLENGE, tuple(priorities), (rnd, priorities)))
+            out.append((KIND_CHALLENGE, tuple(priorities), priorities))
 
         # (5) publish a transaction when the local lists changed
         tx = self._maybe_build_transaction(rnd)
@@ -399,10 +406,7 @@ class Node:
         u = keyed_draws(self.ctx.seed, "response", self.index, challenger_index, rnd)[0]
         return priority if u < self.know_prob else UNSURE
 
-    def _evaluate_response(self, peer: str, sent_round: int, answer: float | Any) -> None:
-        expected = self.outstanding.get(sent_round, {}).get(peer)
-        if expected is None:
-            return
+    def _evaluate_response(self, peer: str, expected: float, answer: float | Any) -> None:
         p = self.ctx.trust_params
         state = self.peer_trust[peer]
         if answer is UNSURE:
@@ -411,15 +415,6 @@ class Node:
             self.peer_trust[peer] = update_satisfaction(
                 state, satisfaction(expected, answer), p
             )
-
-    def _expire_challenges(self, rnd: int) -> None:
-        """Forget the challenges no response can still answer.  A message
-        sent in round r is delivered in round r + max(delay_rounds, 1), and a
-        challenge is answered the round it arrives, so the response to one
-        sent in round r is evaluated by round r + 2 max(delay_rounds, 1); a
-        response that was dropped never comes."""
-        horizon = rnd - 2 * max(self.ctx.network.delay_rounds, 1)
-        self.outstanding = {r: held for r, held in self.outstanding.items() if r > horizon}
 
     def _issue_challenges(self, members: Sequence[str], rnd: int) -> dict[str, float]:
         """Challenge the peers this round's draws pick; returns, and holds as

@@ -162,7 +162,8 @@ class Simulation:
 
         summaries = {}
         for n in self.nodes:
-            rounds_active = max(1, cfg.rounds - n.behavior.spawn_round)
+            # a node is scored in every round from max(spawn_round, 1) on
+            rounds_scored = max(1, cfg.rounds + 1 - max(n.behavior.spawn_round, 1))
             summaries[n.node_id] = {
                 "index": n.index,
                 "behavior": n.behavior.kind,
@@ -170,7 +171,7 @@ class Simulation:
                 "mining_attempts": n.mining_attempts,
                 "invalid_blocks": n.invalid_blocks,
                 "invalid_reasons": dict(sorted(n.invalid_reasons.items())),
-                "mean_election_score": score_sums[n.node_id] / rounds_active,
+                "mean_election_score": score_sums[n.node_id] / rounds_scored,
             }
         return ScenarioResult(
             rounds=rows,

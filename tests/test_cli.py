@@ -630,6 +630,32 @@ def test_late_spawn_exports_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS["late_spawn"]
 
 
+def test_a_late_member_joins_each_peer_list_once_after_the_peers_met_before_it():
+    """In the late-spawn run, each node's peers are the other members in the
+    order it first met them: a member added at its spawn round is appended,
+    with the shared fresh state, once and after every peer met before it,
+    although node 0 comes first in node order."""
+    sim = Simulation(config_from_dict(late_spawn_config()))
+    members_at = sim.ctx.validation_context.members_at
+    met = {n.node_id: [] for n in sim.nodes}
+    joined = []
+
+    def check(sim, rnd):
+        members = members_at(rnd)
+        for node_id in members:
+            peers = list(sim.nodes[sim.ctx.index_of[node_id]].peer_trust.items())
+            new = [p for p in members if p != node_id and p not in met[node_id]]
+            assert [p for p, _ in peers] == met[node_id] + new
+            for peer, state in peers[len(met[node_id]):]:
+                assert state is sim.ctx.fresh_peer
+                joined.append((rnd, sim.ctx.index_of[peer]))
+            met[node_id] += new
+
+    sim.run(round_hook=check)
+    assert any(rnd == 7 and index == 0 for rnd, index in joined)
+    assert {rnd for rnd, _ in joined} == {1, 7, 10}
+
+
 def test_late_spawn_reference_replica_switches_branches_by_score():
     """Among the pinned exports only the late-spawn run moves its reference
     replica from one branch to another (31 times), so its digest is the one

@@ -44,7 +44,7 @@ from cidnsim.netsim import (
 )
 from cidnsim.node import Behavior, Node, RuntimeContext
 from cidnsim.simulation import Simulation, key_for, membership
-from cidnsim.trust import UNSURE, HostTrustState, TrustParams
+from cidnsim.trust import UNSURE, HostTrustState, PeerTrustState, TrustParams
 from mutations import MUTATION_CLASSES, mutate_block
 from oracles import last_seqs, replay_check
 
@@ -235,26 +235,53 @@ def test_colluder_lies_on_challenges():
     assert answer(node, 0.1, rnd=5) == pytest.approx(0.9)
 
 
-@pytest.mark.parametrize("delay", [0, 2])
+def recorded_challenges(monkeypatch) -> dict:
+    """(sender, round) -> (the challenge message's payload, a copy of it), for
+    every challenge message sent from now on."""
+    sent = {}
+    send = Network.send
+
+    def recorded(net, kind, sender, receivers, payload, rnd):
+        if kind == KIND_CHALLENGE:
+            sent[sender, rnd] = (payload, dict(payload))
+        send(net, kind, sender, receivers, payload, rnd)
+
+    monkeypatch.setattr(Network, "send", recorded)
+    return sent
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2, 3])
 def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
-    """Under loss a node holds at most (2 max(d, 1) + 1) rounds of challenges,
-    every response that arrives still finds its priority (one sent in round
-    r is answered by round r + 2 max(d, 1)), and no (challenger, peer, sent
-    round) is evaluated twice, although nothing is removed once evaluated."""
+    """Under loss a node holds at most 2 max(d, 1) rounds of challenges (and,
+    challenging every round, reaches that), each response arriving in round
+    r is evaluated against the priority that the node's challenge message of
+    round r - 2 max(d, 1) carried, and no (challenger, peer, sent round) is
+    evaluated twice."""
     config = small_config(
         rounds=60,
         network={"challenge_prob": 1.0, "drop_prob": 0.1, "delay_rounds": delay},
     )
+    latency = max(delay, 1)
+    sent = recorded_challenges(monkeypatch)
+    now = []
+    run_round = Node.run_round
+
+    def timed(node, deliveries, rnd):
+        now.append(rnd)
+        return run_round(node, deliveries, rnd)
+
     evaluate = Node._evaluate_response
-    unmatched = []
+    mismatched = []
     evaluated = Counter()
 
-    def checked(node, peer, sent_round, answer):
-        if peer not in node.outstanding.get(sent_round, {}):
-            unmatched.append((node.node_id, peer, sent_round, answer))
+    def checked(node, peer, expected, answer):
+        sent_round = now[-1] - 2 * latency
+        if expected != sent[node.node_id, sent_round][1][peer]:
+            mismatched.append((node.node_id, peer, sent_round, expected))
         evaluated[node.node_id, peer, sent_round] += 1
-        evaluate(node, peer, sent_round, answer)
+        evaluate(node, peer, expected, answer)
 
+    monkeypatch.setattr(Node, "run_round", timed)
     monkeypatch.setattr(Node, "_evaluate_response", checked)
     held = []
 
@@ -262,8 +289,8 @@ def test_challenges_no_response_can_answer_are_forgotten(monkeypatch, delay):
         held.extend(len(n.outstanding) for n in sim.nodes)
 
     Simulation(config).run(round_hook=check)
-    assert max(held) <= 2 * max(delay, 1) + 1
-    assert unmatched == []
+    assert max(held) == 2 * latency
+    assert mismatched == []
     assert evaluated and max(evaluated.values()) == 1
 
 
@@ -274,17 +301,7 @@ def test_a_node_holds_the_priorities_its_challenge_message_carried(monkeypatch):
         rounds=30,
         network={"challenge_prob": 0.5, "drop_prob": 0.1, "delay_rounds": 1},
     )
-    sent = {}
-    send = Network.send
-
-    def recorded(net, kind, sender, receivers, payload, rnd):
-        if kind == KIND_CHALLENGE:
-            sent_round, priorities = payload
-            assert sent_round == rnd
-            sent[sender, rnd] = (priorities, dict(priorities))
-        send(net, kind, sender, receivers, payload, rnd)
-
-    monkeypatch.setattr(Network, "send", recorded)
+    sent = recorded_challenges(monkeypatch)
     held = Counter()
 
     def check(sim, rnd):
@@ -296,6 +313,36 @@ def test_a_node_holds_the_priorities_its_challenge_message_carried(monkeypatch):
 
     Simulation(config).run(round_hook=check)
     assert len(held) == len(config.nodes)
+
+
+def test_the_peers_a_node_never_evaluated_share_one_fresh_state(monkeypatch):
+    """Every peer a node has not yet evaluated, whether met at the first
+    round or at a later spawn round, holds the one fresh state of the run."""
+    config = small_config(
+        rounds=10,
+        network={"challenge_prob": 0.3, "delay_rounds": 2},
+        nodes=[{"fp": 0.02, "fn": 0.02} for _ in range(4)]
+        + [{"behavior": {"kind": "sybil", "spawn_round": 6}}],
+    )
+    evaluate = Node._evaluate_response
+    evaluated = set()
+
+    def recorded(node, peer, expected, answer):
+        evaluated.add((node.node_id, peer))
+        evaluate(node, peer, expected, answer)
+
+    monkeypatch.setattr(Node, "_evaluate_response", recorded)
+    sim = Simulation(config)
+    sim.run()
+    fresh = sim.ctx.fresh_peer
+    assert fresh == PeerTrustState.fresh(config.trust)
+    spawned = set()
+    for n in sim.nodes:
+        for peer, state in n.peer_trust.items():
+            if (n.node_id, peer) not in evaluated:
+                assert state is fresh
+                spawned.add(config.nodes[sim.ctx.index_of[peer]].behavior.spawn_round)
+    assert evaluated and spawned == {0, 6}
 
 
 def test_a_round_sends_at_most_one_challenge_and_one_response_message_per_member(
@@ -436,6 +483,34 @@ def test_the_members_at_a_round_are_one_tuple_per_spawn_round(rounds, spawns, ho
         members = ctx.members_at(rnd)
         assert list(members) == [k.node_id for k, s in zip(keys, spawn) if s <= rnd]
         assert (ctx.members_at(rnd + 1) is members) == (rnd + 1 not in spawn)
+
+
+def test_a_mean_election_score_divides_by_the_rounds_the_node_was_scored(monkeypatch):
+    """A node is scored in every round from max(spawn_round, 1) on, and its
+    mean divides its summed score by the number of those rounds.  A fake that
+    joins by round 2 receives every block, and so scores above 0."""
+    config = small_config(
+        rounds=12,
+        nodes=[{"fp": 0.02, "fn": 0.02}] * 2
+        + [{"behavior": {"kind": "sybil", "spawn_round": s}} for s in (1, 2, 12)],
+    )
+    accumulate = Simulation._accumulate_election_scores
+    scored = Counter()
+    sums = {}
+
+    def counted(sim, rnd, members, score_sums):
+        accumulate(sim, rnd, members, score_sums)
+        scored.update(members)
+        sums.update(score_sums)
+
+    monkeypatch.setattr(Simulation, "_accumulate_election_scores", counted)
+    sim = Simulation(config)
+    summaries = sim.run().node_summaries
+    assert [scored[n.node_id] for n in sim.nodes] == [12, 12, 12, 11, 1]
+    for n in sim.nodes:
+        mean = summaries[n.node_id]["mean_election_score"]
+        assert mean == sums[n.node_id] / scored[n.node_id]
+    assert all(sums[n.node_id] > 0 for n in sim.nodes[:4])
 
 
 def test_single_node_network_still_commits_blocks():
